@@ -236,8 +236,8 @@ pub fn relational(scale: f64, seed: u64) -> String {
 
 /// A7 — thread scaling of every algorithm family (the shared-memory
 /// form of the paper's "distribute into multiple machines" plan):
-/// `Base`/`ParallelBase`, `Forward`/`ParallelForward`,
-/// `Backward`/`ParallelBackward`, each against its serial baseline.
+/// Base, Forward and Backward at several worker counts, each against
+/// its one-worker baseline.
 pub fn threads(scale: f64, seed: u64) -> String {
     let data = crate::scaling::run_scaling(scale, seed, 1, &crate::scaling::THREAD_COUNTS);
     let mut out = String::from("A7. Thread scaling, all families (citation, SUM, k=100)\n");

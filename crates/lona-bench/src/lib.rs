@@ -58,3 +58,18 @@ pub use startup::{run_startup, StartupData};
 pub use throughput::{run_throughput, ThroughputData, ThroughputPoint, BATCH_THREADS};
 pub use updates::{run_updates, UpdatesData};
 pub use workload::Workload;
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A fresh staging directory under `parent`, created and unique to
+/// this call (pid plus a process-wide counter), so concurrent runs —
+/// parallel tests in one process included — never share files. The
+/// caller removes it when done.
+pub(crate) fn staging_dir(parent: &Path, tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = parent.join(format!("{tag}-{}-{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create staging directory");
+    dir
+}

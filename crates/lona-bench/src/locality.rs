@@ -311,8 +311,8 @@ fn ordered_container_roundtrips(
 }
 
 /// Run the comparison on the paper's collaboration workload at
-/// `scale`, staging compiled files under `dir` (created if missing,
-/// files removed afterwards).
+/// `scale`, staging compiled files in a fresh subdirectory of `dir`
+/// (removed afterwards).
 pub fn run_locality(scale: f64, seed: u64, dir: &Path) -> LocalityData {
     let workload = Workload::paper(DatasetKind::Collaboration, scale, 0.01, seed);
     let (g, scores) = workload.build();
@@ -346,13 +346,12 @@ pub fn run_locality(scale: f64, seed: u64, dir: &Path) -> LocalityData {
         .map(|order| one_order(&g, &scores, order, &natural_ref))
         .collect();
 
-    std::fs::create_dir_all(dir).expect("create staging directory");
-    let natural_path = dir.join(format!("locality-natural-{}.lona", std::process::id()));
-    let ordered_path = dir.join(format!("locality-degree-{}.lona", std::process::id()));
+    let dir = crate::staging_dir(dir, "locality");
+    let natural_path = dir.join("locality-natural.lona");
+    let ordered_path = dir.join("locality-degree.lona");
     let compiled_roundtrip = natural_container_roundtrips(&g, &scores, &natural_ref, &natural_path);
     let ordered_container = ordered_container_roundtrips(&g, &scores, &natural_ref, &ordered_path);
-    let _ = std::fs::remove_file(&natural_path);
-    let _ = std::fs::remove_file(&ordered_path);
+    let _ = std::fs::remove_dir_all(&dir);
 
     LocalityData {
         workload: description,

@@ -4,9 +4,9 @@
 //! The paper closes by proposing to "partition large networks into
 //! subnetworks and distribute them into multiple machines"; this
 //! figure measures the shared-memory realization of that plan across
-//! all three families — `Base` vs `ParallelBase`, `Forward` vs
-//! `ParallelForward`, `Backward` vs `ParallelBackward` — with the
-//! 1-thread serial algorithm as each family's baseline.
+//! all three families — Base, Forward and Backward, each one worker
+//! loop run at every worker count — with the one-worker run as each
+//! family's baseline.
 //!
 //! [`json`] renders the machine-readable `BENCH_scaling.json` the
 //! repo root accumulates so the perf trajectory is diffable across
@@ -21,7 +21,7 @@ use lona_gen::DatasetKind;
 use crate::report::format_duration;
 use crate::workload::Workload;
 
-/// Thread counts the sweep measures (1 = the serial algorithm).
+/// Thread counts the sweep measures (1 = one worker, the baseline).
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One `(family, threads)` measurement.
@@ -29,11 +29,11 @@ pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 pub struct ScalingPoint {
     /// Algorithm family ("Base", "Forward", "Backward").
     pub family: &'static str,
-    /// Worker count (1 = serial).
+    /// Worker count (1 = the baseline).
     pub threads: usize,
     /// Best-of-reps wall time.
     pub runtime: Duration,
-    /// Serial runtime of the same family / this runtime.
+    /// One-worker runtime of the same family / this runtime.
     pub speedup: f64,
 }
 
@@ -62,17 +62,14 @@ impl ScalingData {
     }
 }
 
-/// Algorithm for one family at a worker count (1 = the serial
-/// algorithm, so the baseline excludes all parallel machinery).
-fn family_algorithm(family: &str, threads: usize) -> Algorithm {
-    match (family, threads) {
-        ("Base", 1) => Algorithm::Base,
-        ("Base", t) => Algorithm::ParallelBase(t),
-        ("Forward", 1) => Algorithm::forward(),
-        ("Forward", t) => Algorithm::parallel_forward(t),
-        ("Backward", 1) => Algorithm::backward(),
-        ("Backward", t) => Algorithm::parallel_backward(t),
-        (other, _) => unreachable!("unknown family {other}"),
+/// The algorithm of one family; the sweep runs it at every worker
+/// count through [`LonaEngine::run_threads`].
+fn family_algorithm(family: &str) -> Algorithm {
+    match family {
+        "Base" => Algorithm::Base,
+        "Forward" => Algorithm::forward(),
+        "Backward" => Algorithm::backward(),
+        other => unreachable!("unknown family {other}"),
     }
 }
 
@@ -91,11 +88,11 @@ pub fn run_scaling(scale: f64, seed: u64, reps: usize, thread_counts: &[usize]) 
     let mut engine = LonaEngine::new(&g, 2);
     engine.prepare_diff_index(); // pay every index up front
 
-    let time_best = |engine: &mut LonaEngine<'_>, algorithm: &Algorithm| -> Duration {
+    let time_best = |engine: &mut LonaEngine<'_>, algorithm: &Algorithm, threads| -> Duration {
         let mut best: Option<Duration> = None;
         for _ in 0..reps.max(1) {
             let t = Instant::now();
-            let _ = engine.run(algorithm, &query, &scores);
+            let _ = engine.run_threads(algorithm, threads, &query, &scores);
             let took = t.elapsed();
             if best.is_none_or(|b| took < b) {
                 best = Some(took);
@@ -106,15 +103,16 @@ pub fn run_scaling(scale: f64, seed: u64, reps: usize, thread_counts: &[usize]) 
 
     let mut points = Vec::with_capacity(FAMILIES.len() * thread_counts.len());
     for family in FAMILIES {
-        // The serial baseline is measured unconditionally so speedups
-        // are well-defined whatever thread_counts the caller passes
-        // (its measurement is reused for a threads == 1 entry).
-        let serial_runtime = time_best(&mut engine, &family_algorithm(family, 1));
+        let algorithm = family_algorithm(family);
+        // The one-worker baseline is measured unconditionally so
+        // speedups are well-defined whatever thread_counts the caller
+        // passes (its measurement is reused for a threads == 1 entry).
+        let serial_runtime = time_best(&mut engine, &algorithm, 1);
         for &threads in thread_counts {
             let runtime = if threads == 1 {
                 serial_runtime
             } else {
-                time_best(&mut engine, &family_algorithm(family, threads))
+                time_best(&mut engine, &algorithm, threads)
             };
             points.push(ScalingPoint {
                 family,

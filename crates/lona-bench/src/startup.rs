@@ -96,16 +96,16 @@ fn first_queries(engine: &mut LonaEngine<'_>, scores: &ScoreVec) -> Vec<(u32, u6
 }
 
 /// Run the comparison on the paper's citation workload at `scale`,
-/// staging the edge list and compiled file under `dir` (created if
-/// missing, files removed afterwards).
+/// staging the edge list and compiled file in a fresh subdirectory of
+/// `dir` (removed afterwards).
 pub fn run_startup(scale: f64, seed: u64, dir: &Path) -> StartupData {
     let workload = Workload::paper(DatasetKind::Citation, scale, 0.01, seed);
     let (g, scores) = workload.build();
     let description = workload.describe(&g, &scores);
 
-    std::fs::create_dir_all(dir).expect("create staging directory");
-    let edge_path = dir.join(format!("startup-{}.edges", std::process::id()));
-    let compiled_path = dir.join(format!("startup-{}.lona", std::process::id()));
+    let dir = crate::staging_dir(dir, "startup");
+    let edge_path = dir.join("startup.edges");
+    let compiled_path = dir.join("startup.lona");
     write_edge_list(
         &g,
         BufWriter::new(File::create(&edge_path).expect("create edge list")),
@@ -166,8 +166,7 @@ pub fn run_startup(scale: f64, seed: u64, dir: &Path) -> StartupData {
     let warm_first_query = t.elapsed();
     let mapped_index_builds = warm_engine.state().index_builds();
 
-    let _ = std::fs::remove_file(&edge_path);
-    let _ = std::fs::remove_file(&compiled_path);
+    let _ = std::fs::remove_dir_all(&dir);
 
     StartupData {
         workload: description,

@@ -9,18 +9,12 @@ use lona_graph::{NodeOrder, PartitionStrategy};
 pub enum AlgorithmChoice {
     /// Naive forward baseline.
     Base,
-    /// Thread-parallel baseline.
-    ParallelBase,
     /// LONA-Forward (differential index).
     Forward,
-    /// Thread-parallel LONA-Forward.
-    ParallelForward,
     /// Full backward distribution.
     BackwardNaive,
     /// LONA-Backward (partial distribution).
     Backward,
-    /// Thread-parallel LONA-Backward.
-    ParallelBackward,
 }
 
 impl std::str::FromStr for AlgorithmChoice {
@@ -29,15 +23,11 @@ impl std::str::FromStr for AlgorithmChoice {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "base" => Ok(AlgorithmChoice::Base),
-            "parallel" | "parallel-base" => Ok(AlgorithmChoice::ParallelBase),
             "forward" => Ok(AlgorithmChoice::Forward),
-            "parallel-forward" => Ok(AlgorithmChoice::ParallelForward),
             "backward-naive" => Ok(AlgorithmChoice::BackwardNaive),
             "backward" => Ok(AlgorithmChoice::Backward),
-            "parallel-backward" => Ok(AlgorithmChoice::ParallelBackward),
             other => Err(format!(
-                "unknown algorithm `{other}` (base|parallel|forward|parallel-forward|\
-                 backward|parallel-backward|backward-naive)"
+                "unknown algorithm `{other}` (base|forward|backward|backward-naive)"
             )),
         }
     }
@@ -153,8 +143,9 @@ pub enum Command {
         seed: u64,
         /// Exclude each node's own score from its aggregate.
         exclude_self: bool,
-        /// Worker threads for the parallel algorithms (default 0 =
-        /// one per core; ignored by the serial algorithms).
+        /// Worker count for the query (default 1; 0 = one per core;
+        /// BackwardNaive always runs one). With `--shards` it is the
+        /// scatter budget instead (default 0 = one per core).
         threads: usize,
         /// Shard count (default 1 = single engine). With more than
         /// one shard the query runs through the scatter-gather
@@ -182,9 +173,7 @@ pub enum Command {
         /// Bypass the batch subsystem: run each query through a plain
         /// sequential `Engine::run` loop (the determinism reference —
         /// stdout is byte-identical to batch mode for planner-chosen
-        /// plans and for deterministic overrides; forcing
-        /// `parallel-backward`, which agrees with its serial
-        /// counterpart only to ~1e-9, waives that guarantee).
+        /// plans and for every `--algorithm` override).
         sequential: bool,
         /// Queries per processing chunk (default 1024; bounds score
         /// vector memory while results stream out).
@@ -290,8 +279,7 @@ USAGE:
                 (re-pack a compiled container, applying a delta first)
   lona topk     <edgelist|compiled --compiled> [--k N] [--hops H]
                 [--aggregate sum|avg|max|dwsum]
-                [--algorithm base|parallel|forward|parallel-forward|backward|
-                 parallel-backward|backward-naive] [--threads N]
+                [--algorithm base|forward|backward|backward-naive] [--threads N]
                 [--scores FILE | --blacking R [--binary]] [--seed N] [--exclude-self]
                 [--shards N [--strategy contiguous|hash|degree]]
   lona batch    <edgelist|compiled --compiled> <queryfile> [--threads N]
@@ -489,6 +477,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         "topk" => {
             let input = positional(&rest, 0, "edgelist path")?;
+            let shards: usize = parse_flag(&rest, "--shards")?.unwrap_or(1);
+            if shards == 0 {
+                return Err("--shards must be at least 1".into());
+            }
             Ok(Command::TopK {
                 input,
                 compiled: has_flag(&rest, "--compiled"),
@@ -501,14 +493,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 binary: has_flag(&rest, "--binary"),
                 seed: parse_flag(&rest, "--seed")?.unwrap_or(42),
                 exclude_self: has_flag(&rest, "--exclude-self"),
-                threads: parse_flag(&rest, "--threads")?.unwrap_or(0),
-                shards: {
-                    let s: usize = parse_flag(&rest, "--shards")?.unwrap_or(1);
-                    if s == 0 {
-                        return Err("--shards must be at least 1".into());
-                    }
-                    s
-                },
+                // One worker keeps single-engine output byte-identical;
+                // a sharded run scatters on every core by default.
+                threads: parse_flag(&rest, "--threads")?.unwrap_or(if shards > 1 { 0 } else { 1 }),
+                shards,
                 strategy: parse_flag(&rest, "--strategy")?.unwrap_or(PartitionStrategy::Contiguous),
             })
         }
@@ -706,11 +694,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_algorithm_choices_parse() {
+    fn algorithm_choices_parse() {
         for (name, expect) in [
-            ("parallel-forward", AlgorithmChoice::ParallelForward),
-            ("parallel-backward", AlgorithmChoice::ParallelBackward),
-            ("parallel", AlgorithmChoice::ParallelBase),
+            ("base", AlgorithmChoice::Base),
+            ("forward", AlgorithmChoice::Forward),
+            ("backward", AlgorithmChoice::Backward),
+            ("backward-naive", AlgorithmChoice::BackwardNaive),
         ] {
             let c = parse(&v(&["topk", "g.txt", "--algorithm", name])).unwrap();
             match c {
@@ -718,11 +707,16 @@ mod tests {
                     algorithm, threads, ..
                 } => {
                     assert_eq!(algorithm, expect, "{name}");
-                    assert_eq!(threads, 0, "default is one thread per core");
+                    assert_eq!(threads, 1, "default is one worker");
                 }
                 other => panic!("{other:?}"),
             }
         }
+        let err = parse(&v(&["topk", "g.txt", "--algorithm", "parallel-forward"])).unwrap_err();
+        assert!(
+            err.contains("base|forward|backward|backward-naive"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -745,6 +739,22 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn topk_threads_default_depends_on_shards() {
+        for (args, expect) in [
+            (&["topk", "g.txt"][..], 1),
+            (&["topk", "g.txt", "--shards", "4"][..], 0),
+            (&["topk", "g.txt", "--shards", "4", "--threads", "2"][..], 2),
+            (&["topk", "g.txt", "--threads", "0"][..], 0),
+        ] {
+            match parse(&v(args)).unwrap() {
+                Command::TopK { threads, .. } => assert_eq!(threads, expect, "{args:?}"),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert!(parse(&v(&["topk", "g.txt", "--shards", "0"])).is_err());
     }
 
     #[test]

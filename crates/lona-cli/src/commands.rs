@@ -822,17 +822,13 @@ fn read_text(path: &str) -> Result<String, String> {
     Ok(text)
 }
 
-/// Map a CLI algorithm choice onto a concrete [`Algorithm`]; the
-/// parallel choices carry the worker budget.
-fn choice_to_algorithm(choice: AlgorithmChoice, threads: usize) -> Algorithm {
+/// Map a CLI algorithm choice onto a concrete [`Algorithm`].
+fn choice_to_algorithm(choice: AlgorithmChoice) -> Algorithm {
     match choice {
         AlgorithmChoice::Base => Algorithm::Base,
-        AlgorithmChoice::ParallelBase => Algorithm::ParallelBase(threads),
         AlgorithmChoice::Forward => Algorithm::forward(),
-        AlgorithmChoice::ParallelForward => Algorithm::parallel_forward(threads),
         AlgorithmChoice::BackwardNaive => Algorithm::BackwardNaive,
         AlgorithmChoice::Backward => Algorithm::backward(),
-        AlgorithmChoice::ParallelBackward => Algorithm::parallel_backward(threads),
     }
 }
 
@@ -1200,7 +1196,7 @@ pub fn run_batch_file<G: GraphStore + ?Sized>(
                         });
                 let cfg = PlannerConfig {
                     threads: 1,
-                    force: opts.force.map(|c| choice_to_algorithm(c, 1)),
+                    force: opts.force.map(choice_to_algorithm),
                     ..Default::default()
                 };
                 let t = Instant::now();
@@ -1233,7 +1229,7 @@ pub fn run_batch_file<G: GraphStore + ?Sized>(
                     .map(|&i| {
                         let mut bq = BatchQuery::new(queries[i], &score_vecs[i]);
                         if let Some(choice) = opts.force {
-                            bq = bq.force(choice_to_algorithm(choice, 1));
+                            bq = bq.force(choice_to_algorithm(choice));
                         }
                         bq
                     })
@@ -1287,7 +1283,7 @@ pub fn run_batch_file<G: GraphStore + ?Sized>(
                     .map(|&i| {
                         let mut bq = BatchQuery::new(queries[i], &score_vecs[i]);
                         if let Some(choice) = opts.force {
-                            bq = bq.force(choice_to_algorithm(choice, opts.threads));
+                            bq = bq.force(choice_to_algorithm(choice));
                         }
                         bq
                     })
@@ -1552,22 +1548,22 @@ fn topk<G: GraphStore + ?Sized>(
     warm: Option<EngineState>,
     perm: Option<&Permutation>,
 ) -> Result<String, String> {
-    let algorithm = choice_to_algorithm(choice, threads);
+    let algorithm = choice_to_algorithm(choice);
     let mut engine = match warm {
         Some(state) => LonaEngine::from_state(g, hops, state),
         None => LonaEngine::new(g, hops),
     };
     let query = TopKQuery::new(k.max(1), aggregate).include_self(include_self);
-    let mut result = engine.run(&algorithm, &query, scores);
+    let mut result = engine.run_threads(&algorithm, threads, &query, scores);
     if let Some(p) = perm {
         map_entries_to_original(p, &mut result.entries);
     }
 
     let mut out = String::new();
-    let worker_note = match algorithm.threads() {
-        Some(0) => " (threads: all cores)".to_string(),
-        Some(t) => format!(" (threads: {t})"),
-        None => String::new(),
+    let worker_note = match threads {
+        1 => String::new(),
+        0 => " (threads: all cores)".to_string(),
+        t => format!(" (threads: {t})"),
     };
     let _ = writeln!(
         out,
@@ -1609,7 +1605,7 @@ fn sharded_topk<G: GraphStore + ?Sized>(
     let query = TopKQuery::new(k.max(1), aggregate).include_self(include_self);
     let opts = ShardOptions {
         threads,
-        force: Some(choice_to_algorithm(choice, 1)),
+        force: Some(choice_to_algorithm(choice)),
         ..Default::default()
     };
     let mut out = engine.run(&query, scores, &opts);
@@ -1623,7 +1619,7 @@ fn sharded_topk<G: GraphStore + ?Sized>(
         "top-{k} {} over {hops}-hop neighborhoods via scatter-gather \
          ({shards} shards, {strategy}, {} forced on every shard):",
         aggregate.name().to_uppercase(),
-        choice_to_algorithm(choice, 1).name()
+        choice_to_algorithm(choice).name()
     );
     for (rank, (node, value)) in out.result.entries.iter().enumerate() {
         let _ = writeln!(text, "  #{:<3} node {:<8} F = {:.6}", rank + 1, node, value);
@@ -1727,15 +1723,7 @@ mod tests {
         write_sample_graph(&p);
         let s = tmp("scores.txt");
         std::fs::write(&s, "1.0\n0.0\n0.5\n0.0\n1.0\n").unwrap();
-        for alg in [
-            "base",
-            "parallel",
-            "forward",
-            "parallel-forward",
-            "backward",
-            "parallel-backward",
-            "backward-naive",
-        ] {
+        for alg in ["base", "forward", "backward", "backward-naive"] {
             let cmd = parse(&[
                 "topk".into(),
                 p.clone(),

@@ -143,7 +143,7 @@ mod tests {
                         diffs: None,
                         candidates: None,
                     };
-                    let expect = base_forward::run(&ctx);
+                    let expect = base_forward::run(&ctx, 1);
                     let got = run_naive(&g, &scores, h, &query);
                     assert!(
                         got.same_values(&expect, 1e-9),

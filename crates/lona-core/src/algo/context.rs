@@ -7,7 +7,9 @@ use crate::aggregate::Aggregate;
 use crate::engine::TopKQuery;
 use crate::index::{DiffIndex, SizeIndex};
 use crate::neighborhood::{NeighborhoodScanner, ScanResult};
+use crate::result::QueryResult;
 use crate::stats::QueryStats;
+use crate::topk::TopKHeap;
 
 /// Everything an algorithm needs to run one query.
 pub(crate) struct Ctx<'a> {
@@ -92,5 +94,26 @@ impl<'a> Ctx<'a> {
     pub fn sizes(&self) -> &SizeIndex {
         self.sizes
             .expect("engine must prepare the size index for this algorithm")
+    }
+}
+
+/// Fold the per-worker `(heap, stats)` pairs of a worker loop into one
+/// result. Offering every entry into worker 0's heap keeps the global
+/// `(value desc, id asc)` order, and a single worker's heap is taken
+/// as is — one worker pays no merge pass.
+pub(crate) fn fold_workers(parts: Vec<(TopKHeap, QueryStats)>) -> QueryResult {
+    let mut parts = parts.into_iter();
+    let (mut topk, mut stats) = parts
+        .next()
+        .expect("a worker loop runs at least one worker");
+    for (heap, s) in parts {
+        for (node, value) in heap.into_sorted_vec() {
+            topk.offer(node, value);
+        }
+        stats.merge(&s);
+    }
+    QueryResult {
+        entries: topk.into_sorted_vec(),
+        stats,
     }
 }

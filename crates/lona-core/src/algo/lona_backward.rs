@@ -15,78 +15,150 @@
 //!   verification expansions run at all;
 //! * a candidate all of whose neighbors distributed (`received =
 //!   N(v)`) is likewise exact.
+//!
+//! Each phase runs on one or more workers:
+//!
+//! * **Distribution** — the above-γ distributor list is split into
+//!   contiguous blocks, one per worker; each worker scatters into a
+//!   *private* `partial`/`received` pair, and the pairs fold into
+//!   worker 0's in fixed worker order. Private buffers keep the hot
+//!   inner loop free of atomics, and the fixed fold order keeps the
+//!   floating-point result deterministic for a given worker count
+//!   (worker-local sums group differently than one worker's, so
+//!   worker counts agree to rounding — the suite's 1e-9 tolerance —
+//!   not bit-for-bit). One worker folds nothing.
+//! * **Bounds** — embarrassingly parallel over node ranges, then one
+//!   sort by descending bound.
+//! * **Verification** — workers claim candidates in bound order from
+//!   a [`ChunkCursor`] (the distributed form of the paper's
+//!   best-bound-first walk), verify against private heaps, and raise
+//!   a [`SharedThreshold`] as the heaps fill. A worker stops as soon
+//!   as the next bound cannot beat the shared threshold; since bounds
+//!   descend along the cursor, everything later is unreachable too.
+//!   With one worker the shared threshold is the heap's own, and
+//!   every Eq. 3 bound is ≥ 0, so the stop rule is the serial TA
+//!   stop. More workers may verify up to `threads · k` extra
+//!   borderline candidates (each heap must fill before it can raise
+//!   the threshold) — wasted work, never wrong answers.
+//!
+//! The stop rule (`bound <= threshold`) may discard a candidate whose
+//! exact value *ties* the k-th best; the merged heap then holds an
+//! equal-valued node instead, so the value sequence is unchanged but
+//! the node set can resolve ties differently across worker counts
+//! (and schedules). That is within the cross-algorithm contract —
+//! `QueryResult::same_values` defines agreement over values precisely
+//! because the paper's top-k semantics allow any tie-breaking.
 
 use lona_graph::NodeId;
 
 use crate::aggregate::Aggregate;
-use crate::algo::context::Ctx;
+use crate::algo::context::{fold_workers, Ctx};
 use crate::algo::BackwardOptions;
 use crate::bounds::{backward_max_bound, backward_sum_bound};
+use crate::exec::{self, ChunkCursor, SharedThreshold};
 use crate::neighborhood::NeighborhoodScanner;
 use crate::result::QueryResult;
 use crate::stats::QueryStats;
 use crate::topk::TopKHeap;
 
-pub(crate) fn run(ctx: &Ctx<'_>, opts: &BackwardOptions) -> QueryResult {
+pub(crate) fn run(ctx: &Ctx<'_>, opts: &BackwardOptions, threads: usize) -> QueryResult {
     assert!(
         !ctx.g.is_directed(),
         "backward distribution requires an undirected graph (u ∈ S(v) ⟺ v ∈ S(u))"
     );
     let n = ctx.g.num_nodes();
-    let mut scanner = NeighborhoodScanner::new(n);
-    let mut stats = QueryStats::default();
-
-    // --- Phase 1: partial distribution above γ, descending order. ---
+    let threads = exec::resolve_threads(threads, n);
     let gamma = opts.gamma.resolve_slice(ctx.scores);
 
-    let mut partial = vec![0.0f64; n];
-    let mut received = vec![0u32; n];
-    for &(u, f_u) in ctx.nonzero_descending() {
-        if f_u <= gamma {
-            break; // descending order: nothing further qualifies
+    // --- Phase 1: partial distribution above γ, descending order. ---
+    let nonzero = ctx.nonzero_descending();
+    let distributors = &nonzero[..nonzero.iter().take_while(|&&(_, f_u)| f_u > gamma).count()];
+    let dist_threads = exec::resolve_threads(threads, distributors.len());
+    let block = distributors.len().div_ceil(dist_threads);
+    let mut buffers = exec::run_workers(dist_threads, |t| {
+        let start = (t * block).min(distributors.len());
+        let end = ((t + 1) * block).min(distributors.len());
+        let mut partial = vec![0.0f64; n];
+        let mut received = vec![0u32; n];
+        let mut edges = 0u64;
+        let mut scanner = NeighborhoodScanner::new(n);
+        for &(u, f_u) in &distributors[start..end] {
+            edges += distribute_one(ctx, &mut scanner, u, f_u, &mut partial, &mut received);
         }
-        stats.nodes_distributed += 1;
-        stats.edges_traversed +=
-            distribute_one(ctx, &mut scanner, u, f_u, &mut partial, &mut received);
+        (partial, received, edges)
+    })
+    .into_iter();
+    let (mut partial, mut received, mut dist_edges) = buffers
+        .next()
+        .expect("distribution runs at least one worker");
+    let max_agg = ctx.query.aggregate == Aggregate::Max;
+    for (p, r, edges) in buffers {
+        dist_edges += edges;
+        for i in 0..n {
+            if max_agg {
+                partial[i] = partial[i].max(p[i]);
+            } else {
+                partial[i] += p[i];
+            }
+            received[i] += r[i];
+        }
     }
 
-    // --- Phase 2: Eq. 3 bounds for every candidate node. ---
-    let mut candidates: Vec<(NodeId, f64)> = Vec::with_capacity(n);
-    for i in 0..n as u32 {
-        let v = NodeId(i);
-        if !ctx.is_candidate(v) {
-            continue;
-        }
-        candidates.push((v, candidate_bound(ctx, gamma, &partial, &received, v)));
-    }
+    // --- Phase 2: Eq. 3 bounds for every candidate node (halo nodes
+    // of a sharded run are ineligible). ---
+    let mut candidates: Vec<(NodeId, f64)> = (0..n as u32)
+        .map(NodeId)
+        .filter(|&v| ctx.is_candidate(v))
+        .map(|v| (v, 0.0))
+        .collect();
     let num_candidates = candidates.len();
+    exec::partition_mut(&mut candidates, threads, |_, slice| {
+        for (v, bound) in slice.iter_mut() {
+            *bound = candidate_bound(ctx, gamma, &partial, &received, *v);
+        }
+    });
     candidates.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
     // --- Phase 3: verification in bound order with TA early stop. ---
-    let mut topk = TopKHeap::new(ctx.query.k);
-    let mut verified = 0usize;
-    for &(v, bound) in &candidates {
-        if topk.is_full() && bound <= topk.threshold() {
-            // Everything from here on is bounded below the current
-            // top-k floor; discard it unevaluated.
-            break;
+    // Chunk of 4: candidates near the front are expensive hub
+    // expansions, and a fine-grained cursor keeps the stop line tight.
+    let cursor = ChunkCursor::with_chunk(num_candidates, 4);
+    let shared = SharedThreshold::new();
+    let mut result = fold_workers(exec::run_workers(threads, |_| {
+        let mut scanner = NeighborhoodScanner::new(n);
+        let mut topk = TopKHeap::new(ctx.query.k);
+        let mut stats = QueryStats::default();
+        'work: while let Some(range) = cursor.next() {
+            for &(v, bound) in &candidates[range] {
+                // Everything from here on is bounded at or below a
+                // full heap's floor — the shared threshold is only
+                // ever raised by heaps holding k exact results — so
+                // discard it unevaluated.
+                if bound <= shared.get() {
+                    break 'work;
+                }
+                let value =
+                    verify_one(ctx, &mut scanner, &mut stats, gamma, &partial, &received, v);
+                topk.offer(v, value);
+                if topk.is_full() {
+                    shared.raise(topk.threshold());
+                }
+            }
         }
-        verified += 1;
-        let value = verify_one(ctx, &mut scanner, &mut stats, gamma, &partial, &received, v);
-        topk.offer(v, value);
-    }
-    stats.nodes_pruned = num_candidates - verified;
-
-    QueryResult {
-        entries: topk.into_sorted_vec(),
-        stats,
-    }
+        (topk, stats)
+    }));
+    // Every verified candidate was either exact from its bound or
+    // evaluated; the rest were discarded by the stop rule.
+    let stats = &mut result.stats;
+    stats.nodes_pruned = num_candidates - (stats.exact_from_bound + stats.nodes_evaluated);
+    stats.nodes_distributed = distributors.len();
+    stats.edges_traversed += dist_edges;
+    result
 }
 
 /// Scatter `f_u` over `S_h(u)` into `partial`/`received` under the
-/// query's aggregate semantics; returns the edges traversed. Shared
-/// by the serial and parallel distribution phases.
-pub(crate) fn distribute_one(
+/// query's aggregate semantics; returns the edges traversed.
+fn distribute_one(
     ctx: &Ctx<'_>,
     scanner: &mut NeighborhoodScanner,
     u: NodeId,
@@ -126,13 +198,7 @@ pub(crate) fn distribute_one(
 /// γ = 0 the unknown term vanishes and N(v) is only needed for AVG
 /// denominators — this is how the backward method runs index-free on
 /// binary workloads.
-pub(crate) fn candidate_bound(
-    ctx: &Ctx<'_>,
-    gamma: f64,
-    partial: &[f64],
-    received: &[u32],
-    v: NodeId,
-) -> f64 {
+fn candidate_bound(ctx: &Ctx<'_>, gamma: f64, partial: &[f64], received: &[u32], v: NodeId) -> f64 {
     let aggregate = ctx.query.aggregate;
     let include_self = ctx.query.include_self;
     let f_v = ctx.f(v);
@@ -185,7 +251,7 @@ pub(crate) fn candidate_bound(
 /// bound when it is already exact (γ = 0, or every neighbor
 /// distributed and the aggregate is distance-blind), otherwise via a
 /// full forward expansion. Updates `stats` accordingly.
-pub(crate) fn verify_one(
+fn verify_one(
     ctx: &Ctx<'_>,
     scanner: &mut NeighborhoodScanner,
     stats: &mut QueryStats,
@@ -238,6 +304,7 @@ mod tests {
         h: u32,
         query: &TopKQuery,
         gamma: GammaSpec,
+        threads: usize,
     ) -> QueryResult {
         let sizes = SizeIndex::build(g.view(), h);
         let score_vec = ScoreVec::new(scores.to_vec());
@@ -251,7 +318,7 @@ mod tests {
             diffs: None,
             candidates: None,
         };
-        run(&ctx, &BackwardOptions { gamma })
+        run(&ctx, &BackwardOptions { gamma }, threads)
     }
 
     #[test]
@@ -284,14 +351,23 @@ mod tests {
                             diffs: None,
                             candidates: None,
                         };
-                        let expect = base_forward::run(&ctx);
-                        let got = run_backward(&g, &scores, h, &query, gamma);
-                        assert!(
-                            got.same_values(&expect, 1e-9),
-                            "{aggregate:?} h={h} k={k} {gamma:?}: {:?} vs {:?}",
-                            got.values(),
-                            expect.values()
-                        );
+                        let expect = base_forward::run(&ctx, 1);
+                        for threads in [1, 3] {
+                            let got = run_backward(&g, &scores, h, &query, gamma, threads);
+                            assert!(
+                                got.same_values(&expect, 1e-9),
+                                "{aggregate:?} h={h} k={k} {gamma:?} t={threads}: {:?} vs {:?}",
+                                got.values(),
+                                expect.values()
+                            );
+                            // Verified (= n − pruned) candidates split
+                            // between the exact fast path and full
+                            // expansions.
+                            assert_eq!(
+                                g.num_nodes() - got.stats.nodes_pruned,
+                                got.stats.exact_from_bound + got.stats.nodes_evaluated
+                            );
+                        }
                     }
                 }
             }
@@ -311,10 +387,12 @@ mod tests {
             .collect();
         let query = TopKQuery::new(5, Aggregate::Sum);
         // Quantile of identical non-zero scores falls back to γ = 0.
-        let res = run_backward(&g, &scores, 2, &query, GammaSpec::default());
-        assert_eq!(res.stats.nodes_evaluated, 0, "binary path must not expand");
-        assert_eq!(res.stats.nodes_distributed, 5);
-        assert!(res.stats.exact_from_bound > 0);
+        for threads in [1, 3] {
+            let res = run_backward(&g, &scores, 2, &query, GammaSpec::default(), threads);
+            assert_eq!(res.stats.nodes_evaluated, 0, "binary path must not expand");
+            assert_eq!(res.stats.nodes_distributed, 5);
+            assert!(res.stats.exact_from_bound > 0);
+        }
     }
 
     #[test]
@@ -331,7 +409,7 @@ mod tests {
             *s = 1.0;
         }
         let query = TopKQuery::new(3, Aggregate::Sum);
-        let res = run_backward(&g, &scores, 2, &query, GammaSpec::Fixed(0.5));
+        let res = run_backward(&g, &scores, 2, &query, GammaSpec::Fixed(0.5), 1);
         assert!(
             res.stats.nodes_pruned > 150,
             "expected strong pruning, got {}",
@@ -354,8 +432,8 @@ mod tests {
             diffs: None,
             candidates: None,
         };
-        let expect = base_forward::run(&ctx);
-        let got = run_backward(&g, &scores, 2, &query, GammaSpec::Fixed(0.4));
+        let expect = base_forward::run(&ctx, 1);
+        let got = run_backward(&g, &scores, 2, &query, GammaSpec::Fixed(0.4), 1);
         assert!(got.same_values(&expect, 1e-9));
     }
 }

@@ -12,9 +12,6 @@ pub(crate) mod base_forward;
 pub(crate) mod context;
 pub(crate) mod lona_backward;
 pub(crate) mod lona_forward;
-pub(crate) mod parallel_backward;
-pub(crate) mod parallel_base;
-pub(crate) mod parallel_forward;
 
 use lona_relevance::ScoreVec;
 
@@ -132,44 +129,24 @@ pub struct BackwardOptions {
     pub gamma: GammaSpec,
 }
 
-/// Algorithm selector, carrying per-algorithm options.
+/// Algorithm selector, carrying per-algorithm options. The worker
+/// count is not part of the selector: every algorithm runs one worker
+/// loop on however many workers its caller passes (see
+/// [`crate::LonaEngine::run_threads`]), and one worker is the serial
+/// algorithm of the paper.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum Algorithm {
     /// Naive forward processing: evaluate every node exactly.
     Base,
-    /// Thread-parallel Base (0 = one thread per core) — the
-    /// shared-memory version of the paper's "distribute into multiple
-    /// machines" future work. Identical results to [`Algorithm::Base`].
-    ParallelBase(usize),
     /// Forward processing with differential-index pruning
     /// (Algorithm 1).
     LonaForward(ForwardOptions),
-    /// Thread-parallel LONA-Forward: workers steal node chunks, share
-    /// the pruned-state array and a monotonically-rising `topklbound`
-    /// (`exec::SharedThreshold`). Same results as
-    /// [`Algorithm::LonaForward`].
-    ParallelForward {
-        /// Forward options (processing order).
-        opts: ForwardOptions,
-        /// Worker count (0 = one thread per core).
-        threads: usize,
-    },
     /// Naive backward distribution (Algorithm 2): every non-zero node
     /// scatters its score; exact results.
     BackwardNaive,
     /// Partial backward distribution above γ with threshold-algorithm
     /// verification (§IV).
     LonaBackward(BackwardOptions),
-    /// Thread-parallel LONA-Backward: distribution over per-worker
-    /// buffers, best-bound-first verification against a shared rising
-    /// threshold. Values agree with [`Algorithm::LonaBackward`] to
-    /// floating-point rounding (the suite's 1e-9 tolerance).
-    ParallelBackward {
-        /// Backward options (γ policy).
-        opts: BackwardOptions,
-        /// Worker count (0 = one thread per core).
-        threads: usize,
-    },
 }
 
 impl Algorithm {
@@ -183,75 +160,14 @@ impl Algorithm {
         Algorithm::LonaBackward(BackwardOptions::default())
     }
 
-    /// Thread-parallel LONA-Forward with default options
-    /// (`threads == 0` = one per core).
-    pub fn parallel_forward(threads: usize) -> Self {
-        Algorithm::ParallelForward {
-            opts: ForwardOptions::default(),
-            threads,
-        }
-    }
-
-    /// Thread-parallel LONA-Backward with default options
-    /// (`threads == 0` = one per core).
-    pub fn parallel_backward(threads: usize) -> Self {
-        Algorithm::ParallelBackward {
-            opts: BackwardOptions::default(),
-            threads,
-        }
-    }
-
     /// Short name used in reports ("Base", "Forward", "Backward",
-    /// matching the paper's figure legends, plus "BackwardNaive" and
-    /// the "Parallel*" family).
+    /// matching the paper's figure legends, plus "BackwardNaive").
     pub fn name(&self) -> &'static str {
         match self {
             Algorithm::Base => "Base",
-            Algorithm::ParallelBase(_) => "ParallelBase",
             Algorithm::LonaForward(_) => "Forward",
-            Algorithm::ParallelForward { .. } => "ParallelForward",
             Algorithm::BackwardNaive => "BackwardNaive",
             Algorithm::LonaBackward(_) => "Backward",
-            Algorithm::ParallelBackward { .. } => "ParallelBackward",
-        }
-    }
-
-    /// The worker count carried by the parallel variants (`None` for
-    /// serial algorithms). 0 means one thread per core.
-    pub fn threads(&self) -> Option<usize> {
-        match self {
-            Algorithm::ParallelBase(t)
-            | Algorithm::ParallelForward { threads: t, .. }
-            | Algorithm::ParallelBackward { threads: t, .. } => Some(*t),
-            _ => None,
-        }
-    }
-
-    /// The same algorithm with its worker count replaced (identity
-    /// for serial algorithms). Unlike [`Algorithm::serial_counterpart`]
-    /// this never changes the code path — `ParallelForward { threads: 1 }`
-    /// stays the parallel variant, just running on the calling thread —
-    /// so the batch scheduler can cap a forced parallel plan's
-    /// oversubscription without altering which algorithm executes.
-    pub fn with_threads(self, threads: usize) -> Algorithm {
-        match self {
-            Algorithm::ParallelBase(_) => Algorithm::ParallelBase(threads),
-            Algorithm::ParallelForward { opts, .. } => Algorithm::ParallelForward { opts, threads },
-            Algorithm::ParallelBackward { opts, .. } => {
-                Algorithm::ParallelBackward { opts, threads }
-            }
-            other => other,
-        }
-    }
-
-    /// This algorithm's serial counterpart (identity for the already
-    /// serial ones) — what the agreement suites compare against.
-    pub fn serial_counterpart(&self) -> Algorithm {
-        match self {
-            Algorithm::ParallelBase(_) => Algorithm::Base,
-            Algorithm::ParallelForward { opts, .. } => Algorithm::LonaForward(*opts),
-            Algorithm::ParallelBackward { opts, .. } => Algorithm::LonaBackward(*opts),
-            other => *other,
         }
     }
 }
@@ -298,32 +214,5 @@ mod tests {
         assert_eq!(Algorithm::forward().name(), "Forward");
         assert_eq!(Algorithm::backward().name(), "Backward");
         assert_eq!(Algorithm::BackwardNaive.name(), "BackwardNaive");
-        assert_eq!(Algorithm::parallel_forward(4).name(), "ParallelForward");
-        assert_eq!(Algorithm::parallel_backward(0).name(), "ParallelBackward");
-    }
-
-    #[test]
-    fn threads_accessor() {
-        assert_eq!(Algorithm::Base.threads(), None);
-        assert_eq!(Algorithm::ParallelBase(3).threads(), Some(3));
-        assert_eq!(Algorithm::parallel_forward(0).threads(), Some(0));
-        assert_eq!(Algorithm::parallel_backward(7).threads(), Some(7));
-    }
-
-    #[test]
-    fn serial_counterparts() {
-        assert_eq!(
-            Algorithm::parallel_forward(4).serial_counterpart(),
-            Algorithm::forward()
-        );
-        assert_eq!(
-            Algorithm::parallel_backward(4).serial_counterpart(),
-            Algorithm::backward()
-        );
-        assert_eq!(
-            Algorithm::ParallelBase(2).serial_counterpart(),
-            Algorithm::Base
-        );
-        assert_eq!(Algorithm::Base.serial_counterpart(), Algorithm::Base);
     }
 }

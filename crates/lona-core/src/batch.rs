@@ -8,21 +8,21 @@
 //! [`crate::exec`] worker pool:
 //!
 //! * **inter-query parallelism** when the batch is many small
-//!   queries: each worker runs whole (serially-planned) queries
+//!   queries: each worker runs whole one-worker queries
 //!   claimed from a work-stealing cursor;
 //! * **intra-query parallelism** when the batch is a few large
 //!   queries: queries run one after another, each planned with the
-//!   whole thread budget (the PR 2 parallel algorithms).
+//!   whole thread budget.
 //!
 //! ## Determinism
 //!
-//! With the default [`BatchOptions`], a batch returns **bit-identical
-//! results** to running each query through [`LonaEngine::run`] with
-//! the same plan, at any thread count: inter-query mode runs the
-//! unmodified serial algorithms (just on different threads), and
-//! intra-query mode only escalates to the bit-reproducible parallel
-//! variants (see [`PlannerConfig::deterministic`]). The CI
-//! `throughput-smoke` job and `tests/batch_smoke.rs` hold this line.
+//! A batch returns **bit-identical results** to running each query
+//! through [`LonaEngine::run`] with the same algorithm, at any thread
+//! count: inter-query mode runs one-worker plans (just on different
+//! threads), and intra-query mode only splits Base and LONA-Forward,
+//! whose answers do not depend on the worker count (DESIGN.md §8).
+//! The CI `throughput-smoke` job and `tests/batch_smoke.rs` hold this
+//! line.
 //!
 //! ## Stats
 //!
@@ -77,8 +77,8 @@ impl<'s> BatchQuery<'s> {
     }
 }
 
-/// Batch execution knobs.
-#[derive(Copy, Clone, Debug, PartialEq)]
+/// Batch execution knobs. The default budget is one worker per core.
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct BatchOptions {
     /// Total worker budget for the batch (0 = one per core). The
     /// scheduler decides whether to spend it across queries or
@@ -87,19 +87,6 @@ pub struct BatchOptions {
     /// Batch-wide planner override (a per-query
     /// [`BatchQuery::force`] still wins).
     pub force: Option<Algorithm>,
-    /// Keep results bit-identical to a serial loop (default `true`);
-    /// see [`PlannerConfig::deterministic`] for what this rules out.
-    pub deterministic: bool,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            threads: 0,
-            force: None,
-            deterministic: true,
-        }
-    }
 }
 
 impl BatchOptions {
@@ -115,8 +102,7 @@ impl BatchOptions {
 /// How the scheduler spent the thread budget.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BatchMode {
-    /// Workers ran whole queries concurrently (serial per-query
-    /// plans).
+    /// Workers ran whole queries concurrently (one-worker plans).
     InterQuery,
     /// Queries ran one after another, each with the full budget.
     IntraQuery,
@@ -182,7 +168,6 @@ fn plan_all(
             let cfg = PlannerConfig {
                 threads: per_query_threads,
                 allow_index_build: true,
-                deterministic: opts.deterministic,
                 force: bq.force.or(opts.force),
             };
             plan_query(engine, &bq.query, bq.scores, &cfg)
@@ -209,38 +194,27 @@ pub(crate) fn run(
 
     let threads = resolve_threads(opts.threads, usize::MAX);
 
-    // Scheduling policy (DESIGN.md §8): plan serially first; if the
+    // Scheduling policy (DESIGN.md §8): plan at one worker first; if the
     // *average* query clears the intra-parallel cost floor the batch
     // is "few large queries" and each gets the whole budget, else
     // "many small queries" and workers steal whole queries (a short
     // batch simply feeds fewer workers — map_indexed clamps — which
     // still beats running small queries one after another).
-    let serial_plans = plan_all(engine, batch, opts, 1);
+    let single_plans = plan_all(engine, batch, opts, 1);
     let mean_cost = if batch.is_empty() {
         0.0
     } else {
-        serial_plans.iter().map(|p| p.cost).sum::<f64>() / batch.len() as f64
+        single_plans.iter().map(|p| p.cost).sum::<f64>() / batch.len() as f64
     };
     let intra = threads > 1 && mean_cost >= INTRA_PARALLEL_FLOOR;
-    let (mode, mut plans) = if intra {
+    let (mode, plans) = if intra {
         (
             BatchMode::IntraQuery,
             plan_all(engine, batch, opts, threads),
         )
     } else {
-        (BatchMode::InterQuery, serial_plans)
+        (BatchMode::InterQuery, single_plans)
     };
-    if mode == BatchMode::InterQuery {
-        // Planner-chosen inter-query plans are serial already, but a
-        // *forced* parallel algorithm would oversubscribe (N workers
-        // × N threads each). Cap its worker count instead of
-        // swapping the code path, so a forced `ParallelForward`
-        // still runs the parallel variant — inline, on the worker
-        // that claimed the query.
-        for plan in &mut plans {
-            plan.algorithm = plan.algorithm.with_threads(1);
-        }
-    }
 
     // Build the union of every plan's index needs once, before any
     // query runs: the build is charged to the batch exactly once and
@@ -253,17 +227,16 @@ pub(crate) fn run(
 
     let t = Instant::now();
     let engine_ref: &LonaEngine<'_> = engine;
+    let run = |plan: &Plan, bq: &BatchQuery<'_>| {
+        engine_ref.run_prepared_threads(&plan.algorithm, plan.threads, &bq.query, bq.scores)
+    };
     let results = match mode {
         // map_indexed(1, ..) is a plain sequential loop, so a
-        // single-threaded batch *is* the serial reference execution.
+        // single-threaded batch *is* the one-worker reference execution.
         BatchMode::InterQuery => map_indexed(threads.min(batch.len().max(1)), batch.len(), |i| {
-            engine_ref.run_prepared(&plans[i].algorithm, &batch[i].query, batch[i].scores)
+            run(&plans[i], &batch[i])
         }),
-        BatchMode::IntraQuery => batch
-            .iter()
-            .zip(&plans)
-            .map(|(bq, plan)| engine_ref.run_prepared(&plan.algorithm, &bq.query, bq.scores))
-            .collect(),
+        BatchMode::IntraQuery => plans.iter().zip(batch).map(|(p, bq)| run(p, bq)).collect(),
     };
     let wall = t.elapsed();
 
@@ -407,8 +380,8 @@ mod tests {
             BatchQuery::new(query, &scores[0]).force(Algorithm::Base),
         ];
         let opts = BatchOptions {
+            threads: 1,
             force: Some(Algorithm::BackwardNaive),
-            ..BatchOptions::with_threads(1)
         };
         let mut engine = LonaEngine::new(&g, 2);
         let out = engine.run_batch(&batch, &opts);
@@ -426,30 +399,9 @@ mod tests {
         let out = engine.run_batch(&batch, &BatchOptions::with_threads(2));
         assert_eq!(out.mode, BatchMode::InterQuery);
         for plan in &out.plans {
-            assert_eq!(plan.threads(), 1, "inter-query plans are serial");
+            assert_eq!(plan.threads, 1, "inter-query plans run one worker");
         }
         assert_eq!(out.threads, 2);
-    }
-
-    #[test]
-    fn forced_parallel_plans_are_capped_in_inter_query_mode() {
-        let g = ring(60);
-        let scores = score_pool(60);
-        let batch: Vec<BatchQuery<'_>> = (0..6)
-            .map(|_| {
-                BatchQuery::new(TopKQuery::new(2, Aggregate::Sum), &scores[1])
-                    .force(Algorithm::parallel_forward(8))
-            })
-            .collect();
-        let mut engine = LonaEngine::new(&g, 2);
-        let out = engine.run_batch(&batch, &BatchOptions::with_threads(2));
-        assert_eq!(out.mode, BatchMode::InterQuery);
-        for plan in &out.plans {
-            // Same variant, worker count capped: no N×N
-            // oversubscription, and still the code path the caller
-            // forced.
-            assert_eq!(plan.algorithm, Algorithm::parallel_forward(1));
-        }
     }
 
     #[test]
@@ -460,7 +412,7 @@ mod tests {
         let mut engine = LonaEngine::new(&g, 2);
         let out = engine.run_batch(&batch, &BatchOptions::with_threads(2));
         assert_eq!(out.mode, BatchMode::IntraQuery);
-        assert_eq!(out.plans[0].threads(), 2, "large query gets the budget");
+        assert_eq!(out.plans[0].threads, 2, "large query gets the budget");
     }
 
     #[test]

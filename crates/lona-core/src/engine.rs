@@ -28,8 +28,8 @@ impl IndexNeeds {
     /// Compute the needs for one dispatch.
     pub(crate) fn of(algorithm: &Algorithm, query: &TopKQuery, scores: &ScoreVec) -> Self {
         match algorithm {
-            Algorithm::Base | Algorithm::ParallelBase(_) => IndexNeeds::default(),
-            Algorithm::LonaForward(_) | Algorithm::ParallelForward { .. } => IndexNeeds {
+            Algorithm::Base => IndexNeeds::default(),
+            Algorithm::LonaForward(_) => IndexNeeds {
                 size: true,
                 diff: true,
             },
@@ -37,7 +37,7 @@ impl IndexNeeds {
                 size: query.aggregate.needs_size(),
                 diff: false,
             },
-            Algorithm::LonaBackward(opts) | Algorithm::ParallelBackward { opts, .. } => {
+            Algorithm::LonaBackward(opts) => {
                 let gamma = opts.gamma.resolve(scores);
                 IndexNeeds {
                     size: gamma > 0.0 || query.aggregate.needs_size(),
@@ -209,15 +209,19 @@ impl EngineState {
     }
 
     /// Read-only dispatch against prepared state: build the context,
-    /// run, stamp the runtime. `index_build` is left at zero for the
-    /// caller to fill. `candidates`, when given, restricts the top-k
-    /// to masked nodes (see [`crate::shard`]).
+    /// run on `threads` workers (0 = one per core; BackwardNaive
+    /// always runs on the calling thread), stamp the runtime.
+    /// `index_build` is left at zero for the caller to fill.
+    /// `candidates`, when given, restricts the top-k to masked nodes
+    /// (see [`crate::shard`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn dispatch(
         &self,
         g: CsrView<'_>,
         hops: u32,
         candidates: Option<&[bool]>,
         algorithm: &Algorithm,
+        threads: usize,
         query: &TopKQuery,
         scores: &ScoreVec,
     ) -> QueryResult {
@@ -234,17 +238,10 @@ impl EngineState {
 
         let t = Instant::now();
         let mut result = match algorithm {
-            Algorithm::Base => algo::base_forward::run(&ctx),
-            Algorithm::ParallelBase(threads) => algo::parallel_base::run(&ctx, *threads),
-            Algorithm::LonaForward(opts) => algo::lona_forward::run(&ctx, opts),
-            Algorithm::ParallelForward { opts, threads } => {
-                algo::parallel_forward::run(&ctx, opts, *threads)
-            }
+            Algorithm::Base => algo::base_forward::run(&ctx, threads),
+            Algorithm::LonaForward(opts) => algo::lona_forward::run(&ctx, opts, threads),
             Algorithm::BackwardNaive => algo::backward_naive::run(&ctx),
-            Algorithm::LonaBackward(opts) => algo::lona_backward::run(&ctx, opts),
-            Algorithm::ParallelBackward { opts, threads } => {
-                algo::parallel_backward::run(&ctx, opts, *threads)
-            }
+            Algorithm::LonaBackward(opts) => algo::lona_backward::run(&ctx, opts, threads),
         };
         result.stats.runtime = t.elapsed();
         result.stats.index_build = Duration::ZERO;
@@ -428,7 +425,7 @@ impl<'g> LonaEngine<'g> {
         self.state.diff_index = Some(idx);
     }
 
-    /// Run one query with the chosen algorithm.
+    /// Run one query with the chosen algorithm on one worker.
     ///
     /// Missing indexes the algorithm needs are built on the fly and
     /// charged to `stats.index_build`.
@@ -438,6 +435,24 @@ impl<'g> LonaEngine<'g> {
     pub fn run(
         &mut self,
         algorithm: &Algorithm,
+        query: &TopKQuery,
+        scores: &ScoreVec,
+    ) -> QueryResult {
+        self.run_threads(algorithm, 1, query, scores)
+    }
+
+    /// [`LonaEngine::run`] on `threads` workers (0 = one per core).
+    /// Base and LONA-Forward return the same entries at every worker
+    /// count; LONA-Backward agrees on values to floating-point
+    /// rounding (DESIGN.md §7); BackwardNaive always runs on the
+    /// calling thread.
+    ///
+    /// # Panics
+    /// Panics if `scores.len() != graph.num_nodes()`.
+    pub fn run_threads(
+        &mut self,
+        algorithm: &Algorithm,
+        threads: usize,
         query: &TopKQuery,
         scores: &ScoreVec,
     ) -> QueryResult {
@@ -451,7 +466,7 @@ impl<'g> LonaEngine<'g> {
 
         // Prepare whatever this (algorithm, query) combination needs.
         let index_build = self.prepare_needs(IndexNeeds::of(algorithm, query, scores));
-        let mut result = self.dispatch(algorithm, query, scores);
+        let mut result = self.dispatch(algorithm, threads, query, scores);
         result.stats.index_build = index_build;
         result
     }
@@ -462,9 +477,9 @@ impl<'g> LonaEngine<'g> {
         self.state.prepare_needs(self.g, self.hops, needs)
     }
 
-    /// Run one query against the *current* index state, without
-    /// building anything — the read-only dispatch the batch layer
-    /// issues from many worker threads at once.
+    /// Run one query on one worker against the *current* index
+    /// state, without building anything — the read-only dispatch the
+    /// batch layer issues from many worker threads at once.
     ///
     /// # Panics
     /// Panics if `scores.len() != graph.num_nodes()` or if the
@@ -473,6 +488,17 @@ impl<'g> LonaEngine<'g> {
     pub fn run_prepared(
         &self,
         algorithm: &Algorithm,
+        query: &TopKQuery,
+        scores: &ScoreVec,
+    ) -> QueryResult {
+        self.run_prepared_threads(algorithm, 1, query, scores)
+    }
+
+    /// [`LonaEngine::run_prepared`] on `threads` workers.
+    pub(crate) fn run_prepared_threads(
+        &self,
+        algorithm: &Algorithm,
+        threads: usize,
         query: &TopKQuery,
         scores: &ScoreVec,
     ) -> QueryResult {
@@ -492,7 +518,7 @@ impl<'g> LonaEngine<'g> {
             !needs.diff || self.state.diff_index.is_some(),
             "run_prepared: {algorithm} needs the differential index but it is not built"
         );
-        self.dispatch(algorithm, query, scores)
+        self.dispatch(algorithm, threads, query, scores)
     }
 
     /// Plan one query with the cost-based planner (DESIGN.md §8) and
@@ -506,7 +532,7 @@ impl<'g> LonaEngine<'g> {
         cfg: &PlannerConfig,
     ) -> (Plan, QueryResult) {
         let plan = plan_query(self, query, scores, cfg);
-        let result = self.run(&plan.algorithm, query, scores);
+        let result = self.run_threads(&plan.algorithm, plan.threads, query, scores);
         (plan, result)
     }
 
@@ -519,9 +545,22 @@ impl<'g> LonaEngine<'g> {
     }
 
     /// Shared read-only dispatch, delegated to the state.
-    fn dispatch(&self, algorithm: &Algorithm, query: &TopKQuery, scores: &ScoreVec) -> QueryResult {
-        self.state
-            .dispatch(self.g, self.hops, self.candidates, algorithm, query, scores)
+    fn dispatch(
+        &self,
+        algorithm: &Algorithm,
+        threads: usize,
+        query: &TopKQuery,
+        scores: &ScoreVec,
+    ) -> QueryResult {
+        self.state.dispatch(
+            self.g,
+            self.hops,
+            self.candidates,
+            algorithm,
+            threads,
+            query,
+            scores,
+        )
     }
 }
 
@@ -566,24 +605,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_variants_agree_end_to_end() {
+    fn worker_counts_agree_end_to_end() {
         let g = ring(300);
         let scores = ScoreVec::from_fn(300, |u| ((u.0 * 53) % 17) as f64 / 16.0);
         let mut engine = LonaEngine::new(&g, 2);
         for aggregate in [Aggregate::Sum, Aggregate::Avg] {
             let query = TopKQuery::new(7, aggregate);
-            for alg in [
-                Algorithm::ParallelBase(3),
-                Algorithm::parallel_forward(3),
-                Algorithm::parallel_backward(3),
-            ] {
-                let serial = engine.run(&alg.serial_counterpart(), &query, &scores);
-                let got = engine.run(&alg, &query, &scores);
+            for alg in [Algorithm::Base, Algorithm::forward(), Algorithm::backward()] {
+                let one = engine.run(&alg, &query, &scores);
+                let got = engine.run_threads(&alg, 3, &query, &scores);
                 assert!(
-                    got.same_values(&serial, 1e-9),
+                    got.same_values(&one, 1e-9),
                     "{alg} {aggregate:?}: {:?} vs {:?}",
                     got.values(),
-                    serial.values()
+                    one.values()
                 );
             }
         }

@@ -1,8 +1,8 @@
 //! Shared parallel-execution primitives.
 //!
-//! Every multi-threaded code path in the engine — the index builders,
-//! `ParallelBase`, and the parallel LONA algorithms — is built from
-//! the three primitives here:
+//! Every multi-threaded code path in the engine — the index builders
+//! and the worker loops of Base, LONA-Forward and LONA-Backward — is
+//! built from the three primitives here:
 //!
 //! * [`resolve_threads`] — one policy for turning a requested worker
 //!   count (0 = one per core) into an actual one;
@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Resolve a requested worker count against the work available.
 ///
-/// `requested == 0` means one worker per core (the CLI's `--threads 0`
-/// and `Algorithm::parallel_*` defaults); any other value is taken
+/// `requested == 0` means one worker per core (the CLI's
+/// `--threads 0`); any other value is taken
 /// verbatim. The result is clamped to `[1, work_items]` so no worker
 /// can ever start with nothing to do.
 pub fn resolve_threads(requested: usize, work_items: usize) -> usize {
@@ -135,7 +135,7 @@ impl Default for SharedThreshold {
 
 /// Run `threads` scoped workers and collect their results in worker
 /// order. With a single worker the closure runs on the calling thread
-/// (no spawn cost, and tests of the parallel paths stay debuggable).
+/// (no spawn cost, and one-worker runs stay debuggable).
 pub fn run_workers<T, F>(threads: usize, worker: F) -> Vec<T>
 where
     T: Send,

@@ -48,8 +48,8 @@
 //! * [`topk`] — the bounded top-k heap / `topklbound`;
 //! * [`exec`] — parallel-execution primitives: thread resolution,
 //!   work-stealing chunks, the shared rising threshold;
-//! * [`algo`] — Base, LONA-Forward, BackwardNaive, LONA-Backward and
-//!   their thread-parallel variants;
+//! * [`algo`] — Base, LONA-Forward, BackwardNaive, LONA-Backward,
+//!   each one worker loop run on however many workers it is given;
 //! * [`compiled`] — the `lona compile` container: graph + scores +
 //!   indexes packed into one mmap-able file for zero-build startup;
 //! * [`delta`] — incremental index maintenance: repair the ≤h-hop
@@ -58,8 +58,8 @@
 //! * [`engine`] — index lifecycle + dispatch;
 //! * [`locality`] — run on a cache-friendly renumbered copy of the
 //!   graph, answer in original node ids;
-//! * [`plan`] — the cost-based per-query planner (algorithm + thread
-//!   split, with an override escape hatch);
+//! * [`plan`] — the cost-based per-query planner (algorithm + worker
+//!   count, with an override escape hatch);
 //! * [`batch`] — multi-query execution over the worker pool
 //!   (inter-query parallelism for small queries, intra-query for
 //!   large ones, indexes built once per batch);

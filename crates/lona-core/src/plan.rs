@@ -7,8 +7,8 @@
 //! distributed top-k strategy per query), the planner here inspects
 //! the query (`k`, aggregate), the engine (hop radius, which indexes
 //! are already built), the graph (size, mean degree) and the score
-//! vector (sparsity) and returns the [`Algorithm`] plus intra-query
-//! thread split to run — with an explicit override escape hatch for
+//! vector (sparsity) and returns the [`Algorithm`] plus the worker
+//! count to run it on — with an explicit override escape hatch for
 //! callers that know better.
 //!
 //! The cost model and the decision rules are documented in
@@ -71,13 +71,14 @@ impl PlanReason {
     }
 }
 
-/// Planner knobs. The default plans a standalone serial query and may
-/// build any index it wants.
+/// Planner knobs. The default plans a standalone one-worker query
+/// and may build any index it wants.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PlannerConfig {
     /// Worker budget for *this* query (0 = one per core). The planner
-    /// only spends it when the query is big enough to amortize the
-    /// split ([`INTRA_PARALLEL_FLOOR`]).
+    /// only spends it on Base and LONA-Forward, and only when the
+    /// query is big enough to amortize the split
+    /// ([`INTRA_PARALLEL_FLOOR`]).
     pub threads: usize,
     /// May the plan require indexes that are not built yet? Batch
     /// execution leaves this on and instead builds the *union* of
@@ -85,13 +86,6 @@ pub struct PlannerConfig {
     /// to plan strictly against the engine's current index state
     /// (e.g. a latency-sensitive caller that cannot absorb a build).
     pub allow_index_build: bool,
-    /// Restrict plans to bit-reproducible algorithms. `ParallelBase`
-    /// and `ParallelForward` return bit-identical results to their
-    /// serial counterparts (exact evaluations; races only affect which
-    /// nodes get *pruned*), but `ParallelBackward` reassembles partial
-    /// sums in worker order and agrees with serial only to ~1e-9 —
-    /// so under `deterministic` the backward family stays serial.
-    pub deterministic: bool,
     /// Escape hatch: run exactly this algorithm, skipping every rule.
     pub force: Option<Algorithm>,
 }
@@ -101,7 +95,6 @@ impl Default for PlannerConfig {
         PlannerConfig {
             threads: 1,
             allow_index_build: true,
-            deterministic: true,
             force: None,
         }
     }
@@ -126,23 +119,16 @@ impl PlannerConfig {
 /// The planner's verdict for one query.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Plan {
-    /// What to run (already carries the thread split for parallel
-    /// variants).
+    /// What to run.
     pub algorithm: Algorithm,
+    /// How many workers to run it on (≥ 1).
+    pub threads: usize,
     /// Which rule fired.
     pub reason: PlanReason,
     /// Estimated edge accesses of the chosen plan (the cost model of
     /// DESIGN.md §8; a scheduling weight, not a prediction in
     /// seconds).
     pub cost: f64,
-}
-
-impl Plan {
-    /// Worker count the plan will actually use (1 for serial
-    /// algorithms).
-    pub fn threads(&self) -> usize {
-        self.algorithm.threads().map_or(1, |t| t.max(1))
-    }
 }
 
 /// Per-node cost of one exact h-hop evaluation, in edge accesses,
@@ -186,7 +172,7 @@ fn estimate_with_nnz(
     let n = g.num_nodes();
     let per_node = per_node_scan_cost(n, g.num_adjacency_entries(), engine.hops());
     let nnz = nnz as f64;
-    match algorithm.serial_counterpart() {
+    match algorithm {
         Algorithm::Base => n as f64 * per_node,
         Algorithm::LonaForward(_) => {
             // Pruning leaves roughly the top-k band plus a margin of
@@ -196,26 +182,19 @@ fn estimate_with_nnz(
         }
         Algorithm::BackwardNaive => nnz * per_node + n as f64,
         Algorithm::LonaBackward(_) => nnz * per_node + query.k as f64 * per_node + n as f64,
-        // serial_counterpart() never returns a parallel variant.
-        _ => unreachable!("serial counterpart is serial"),
     }
 }
 
-/// Escalate a serial algorithm to its thread-parallel variant when the
-/// budget and the estimated cost justify it.
-fn escalate(serial: Algorithm, threads: usize, cost: f64, deterministic: bool) -> Algorithm {
-    if threads <= 1 || cost < INTRA_PARALLEL_FLOOR {
-        return serial;
-    }
-    match serial {
-        Algorithm::Base => Algorithm::ParallelBase(threads),
-        Algorithm::LonaForward(opts) => Algorithm::ParallelForward { opts, threads },
-        // ParallelBackward agrees with serial only to float rounding;
-        // keep the serial algorithm when determinism is required.
-        Algorithm::LonaBackward(opts) if !deterministic => {
-            Algorithm::ParallelBackward { opts, threads }
-        }
-        other => other,
+/// The worker count for a planner-chosen algorithm: the whole budget
+/// for Base and LONA-Forward when the estimated cost amortizes the
+/// split, else one. Base and LONA-Forward return the same entries at
+/// every worker count; LONA-Backward's worker-local sums agree only to
+/// floating-point rounding, and BackwardNaive has no worker loop, so
+/// both always get one worker and every plan stays bit-reproducible.
+fn plan_threads(algorithm: &Algorithm, budget: usize, cost: f64) -> usize {
+    match algorithm {
+        Algorithm::Base | Algorithm::LonaForward(_) if cost >= INTRA_PARALLEL_FLOOR => budget,
+        _ => 1,
     }
 }
 
@@ -244,9 +223,12 @@ pub fn plan_query(
     let threads = resolve_threads(cfg.threads, n.max(1));
     let nnz = scores.nonzero_count();
 
+    // A forced plan runs on one worker: the caller picked the
+    // algorithm, not a worker split.
     if let Some(forced) = cfg.force {
         return Plan {
             algorithm: forced,
+            threads: 1,
             reason: PlanReason::Forced,
             cost: estimate_with_nnz(engine, &forced, query, nnz),
         };
@@ -261,10 +243,11 @@ pub fn plan_query(
     // the only index backward can need here is the size index for
     // size-normalizing aggregates.
     if sparse && nnz > 0 && (!query.aggregate.needs_size() || size_ok) {
-        let serial = Algorithm::backward();
-        let cost = estimate_with_nnz(engine, &serial, query, nnz);
+        let algorithm = Algorithm::backward();
+        let cost = estimate_with_nnz(engine, &algorithm, query, nnz);
         return Plan {
-            algorithm: escalate(serial, threads, cost, cfg.deterministic),
+            algorithm,
+            threads: plan_threads(&algorithm, threads, cost),
             reason: PlanReason::SparseBackward,
             cost,
         };
@@ -274,10 +257,11 @@ pub fn plan_query(
     // available or we are allowed to build it.
     if selective {
         if diff_ok && size_ok {
-            let serial = Algorithm::forward();
-            let cost = estimate_with_nnz(engine, &serial, query, nnz);
+            let algorithm = Algorithm::forward();
+            let cost = estimate_with_nnz(engine, &algorithm, query, nnz);
             return Plan {
-                algorithm: escalate(serial, threads, cost, cfg.deterministic),
+                algorithm,
+                threads: plan_threads(&algorithm, threads, cost),
                 reason: PlanReason::SmallKForward,
                 cost,
             };
@@ -286,14 +270,15 @@ pub fn plan_query(
         // Base whenever fewer than all nodes score non-zero, but for
         // size-normalizing aggregates it needs the size index too.
         let backward_ok = nnz < n && (!query.aggregate.needs_size() || size_ok);
-        let serial = if backward_ok {
+        let algorithm = if backward_ok {
             Algorithm::BackwardNaive
         } else {
             Algorithm::Base
         };
-        let cost = estimate_with_nnz(engine, &serial, query, nnz);
+        let cost = estimate_with_nnz(engine, &algorithm, query, nnz);
         return Plan {
-            algorithm: escalate(serial, threads, cost, cfg.deterministic),
+            algorithm,
+            threads: plan_threads(&algorithm, threads, cost),
             reason: PlanReason::IndexAbsentFallback,
             cost,
         };
@@ -302,7 +287,8 @@ pub fn plan_query(
     // Dense scores, loose threshold: nothing prunes; run Base.
     let cost = estimate_with_nnz(engine, &Algorithm::Base, query, nnz);
     Plan {
-        algorithm: escalate(Algorithm::Base, threads, cost, cfg.deterministic),
+        algorithm: Algorithm::Base,
+        threads: plan_threads(&Algorithm::Base, threads, cost),
         reason: PlanReason::ExhaustiveBase,
         cost,
     }
@@ -451,7 +437,7 @@ mod tests {
             &sparse_scores(64),
             &PlannerConfig::with_threads(4),
         );
-        assert_eq!(plan.threads(), 1, "64-node query is below the floor");
+        assert_eq!(plan.threads, 1, "64-node query is below the floor");
         assert_eq!(plan.algorithm, Algorithm::backward());
     }
 
@@ -464,25 +450,21 @@ mod tests {
         let query = TopKQuery::new(10, Aggregate::Sum);
         let cfg = PlannerConfig::with_threads(4);
         let plan = plan_query(&engine, &query, &dense_scores(200_000), &cfg);
-        assert_eq!(
-            plan.algorithm,
-            Algorithm::ParallelForward {
-                opts: Default::default(),
-                threads: 4
-            }
-        );
-        assert_eq!(plan.threads(), 4);
+        assert_eq!(plan.algorithm, Algorithm::forward());
+        assert_eq!(plan.threads, 4);
 
-        // Backward stays serial under the deterministic default...
+        // Backward always runs on one worker...
         let plan = plan_query(&engine, &query, &sparse_scores(200_000), &cfg);
         assert_eq!(plan.algorithm, Algorithm::backward());
-        // ...and splits when determinism is waived.
-        let relaxed = PlannerConfig {
-            deterministic: false,
-            ..cfg
-        };
-        let plan = plan_query(&engine, &query, &sparse_scores(200_000), &relaxed);
-        assert_eq!(plan.algorithm, Algorithm::parallel_backward(4));
+        assert_eq!(plan.threads, 1);
+        // ...and so does a forced plan.
+        let plan = plan_query(
+            &engine,
+            &query,
+            &dense_scores(200_000),
+            &cfg.force(Algorithm::Base),
+        );
+        assert_eq!(plan.threads, 1);
     }
 
     #[test]
@@ -496,9 +478,6 @@ mod tests {
         let bwd = estimate_cost(&engine, &Algorithm::backward(), &query, &scores);
         assert!(fwd < base, "forward prunes: {fwd} < {base}");
         assert!(bwd < base, "sparse backward beats base: {bwd} < {base}");
-        // Parallel variants share their family's cost estimate.
-        let pfwd = estimate_cost(&engine, &Algorithm::parallel_forward(4), &query, &scores);
-        assert_eq!(fwd, pfwd);
     }
 
     #[test]

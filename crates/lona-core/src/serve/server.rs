@@ -36,8 +36,8 @@
 //! whether the backend is the single engine or a [`ShardedEngine`]:
 //!
 //! 1. every request's algorithm is **forced** to
-//!    [`serve_algorithm`]: the global planner's choice, lowered to
-//!    its serial counterpart, with `LonaBackward → BackwardNaive`.
+//!    [`serve_algorithm`]: the global planner's choice, with
+//!    `LonaBackward → BackwardNaive`; forced plans run one worker.
 //!    The plan depends only on `(graph, query, scores)` (the planner
 //!    runs with `allow_index_build = true`), so both backends force
 //!    the same algorithm for the same request;
@@ -46,8 +46,8 @@
 //!    the single engine (`shard.rs::forced_exact_algorithms_are_
 //!    bit_identical` holds that line across strategies, shard counts,
 //!    and all four aggregates);
-//! 3. `run_batch` with deterministic options returns results
-//!    bit-identical to a serial loop over its own plans
+//! 3. `run_batch` returns results bit-identical to a one-worker loop
+//!    over its own plans
 //!    (`tests/batch_smoke.rs`), and each request's result depends
 //!    only on its own `(query, scores)` — batch-mates contribute
 //!    nothing — so *how* requests coalesce cannot change any answer.
@@ -201,10 +201,9 @@ pub fn binary_scores(sources: &[u32], num_nodes: usize) -> ScoreVec {
 }
 
 /// The algorithm the service forces for one request: the global
-/// planner's choice lowered to its **serial counterpart**, with the
-/// partial backward method lowered further to the exhaustive
-/// `BackwardNaive`. Every member of the resulting set — Base,
-/// LONA-Forward, BackwardNaive — is bit-reproducible between the
+/// planner's choice, with the partial backward method lowered to the
+/// exhaustive `BackwardNaive`. Every member of the resulting set —
+/// Base, LONA-Forward, BackwardNaive — is bit-reproducible between the
 /// single engine and the sharded engine (see the module docs), which
 /// is what makes `--shards N` byte-identical to single-engine serve
 /// for arbitrary (not just binary) relevance.
@@ -214,7 +213,7 @@ pub fn serve_algorithm(
     scores: &ScoreVec,
 ) -> Algorithm {
     let plan = plan_query(plan_engine, query, scores, &PlannerConfig::default());
-    match plan.algorithm.serial_counterpart() {
+    match plan.algorithm {
         Algorithm::LonaBackward(_) => Algorithm::BackwardNaive,
         other => other,
     }
@@ -1311,7 +1310,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_algorithm_never_picks_a_parallel_or_partial_backward_plan() {
+    fn serve_algorithm_never_picks_a_partial_backward_plan() {
         use lona_graph::GraphBuilder;
         let mut b = GraphBuilder::undirected();
         for i in 0..64u32 {

@@ -57,32 +57,19 @@ use crate::topk::TopKHeap;
 /// first round, so mild skew rarely forces a second round.
 pub const SHARD_K_SLACK: usize = 2;
 
-/// Knobs for sharded execution.
-#[derive(Copy, Clone, Debug, PartialEq)]
+/// Knobs for sharded execution. The default scatter budget is one
+/// worker per core.
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct ShardOptions {
     /// Worker budget for the cross-shard scatter (0 = one per core).
-    /// With more than one shard, per-shard plans stay serial and the
-    /// budget is spent running shards concurrently.
+    /// With more than one shard, per-shard plans run one worker and
+    /// the budget is spent running shards concurrently.
     pub threads: usize,
     /// Planner override applied to every shard.
     pub force: Option<Algorithm>,
-    /// Restrict per-shard plans to bit-reproducible algorithms
-    /// (see [`PlannerConfig::deterministic`]).
-    pub deterministic: bool,
     /// Override the adaptive first-round `k'` (clamped to `[1, k]`).
     /// Mostly for tests and benches; `None` = adaptive.
     pub initial_k: Option<usize>,
-}
-
-impl Default for ShardOptions {
-    fn default() -> Self {
-        ShardOptions {
-            threads: 0,
-            force: None,
-            deterministic: true,
-            initial_k: None,
-        }
-    }
 }
 
 impl ShardOptions {
@@ -185,7 +172,7 @@ fn first_round_k(
     if let Some(v) = opts.initial_k {
         return v.clamp(1, k);
     }
-    match planned.serial_counterpart() {
+    match planned {
         Algorithm::LonaForward(_) => {
             let share = (k * owned).div_ceil(total_owned.max(1));
             (share + SHARD_K_SLACK).clamp(1, k)
@@ -386,7 +373,6 @@ impl<'g> ShardedEngine<'g> {
         let cfg = PlannerConfig {
             threads: per_shard_threads,
             allow_index_build: true,
-            deterministic: opts.deterministic,
             force: opts.force,
         };
         self.with_engine(s, |engine| {
@@ -418,8 +404,8 @@ impl<'g> ShardedEngine<'g> {
         let total_owned: usize = self.sharded.shards().iter().map(Shard::owned_count).sum();
         let local_scores = self.local_scores(scores);
         // With several shards the scatter takes the thread budget and
-        // per-shard plans stay serial; a single shard gets the whole
-        // budget for intra-query parallelism.
+        // per-shard plans run one worker; a single shard gets the
+        // whole budget for intra-query parallelism.
         let per_shard_threads = if num_shards > 1 { 1 } else { opts.threads };
 
         // --- Round 1: plan + prepare (sequential; builds are
@@ -440,7 +426,6 @@ impl<'g> ShardedEngine<'g> {
             let cfg = PlannerConfig {
                 threads: per_shard_threads,
                 allow_index_build: true,
-                deterministic: opts.deterministic,
                 force: opts.force,
             };
             let local = &local_scores[s];
@@ -477,6 +462,7 @@ impl<'g> ShardedEngine<'g> {
                         hops,
                         Some(shard.owned_mask()),
                         &plan.algorithm,
+                        plan.threads,
                         &subs[s],
                         &locals[s],
                     )
@@ -582,6 +568,7 @@ impl<'g> ShardedEngine<'g> {
                         hops,
                         Some(shard.owned_mask()),
                         &plan.algorithm,
+                        plan.threads,
                         query,
                         &locals[s],
                     )

@@ -1,6 +1,7 @@
-//! Property tests for the parallel execution paths: every parallel
-//! algorithm agrees with its serial counterpart across random graphs,
-//! scores, aggregates, γ policies, and thread counts {1, 2, 3, 7}.
+//! Property tests for the worker loops: Base, LONA-Forward and
+//! LONA-Backward agree with their one-worker runs across random
+//! graphs, scores, aggregates, γ policies, and worker counts
+//! {1, 2, 3, 7}.
 
 use proptest::prelude::*;
 
@@ -70,10 +71,10 @@ fn arb_case() -> impl Strategy<Value = Case> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// ParallelForward matches serial LONA-Forward for every
-    /// processing order and thread count.
+    /// LONA-Forward matches its one-worker run for every processing
+    /// order and worker count.
     #[test]
-    fn parallel_forward_matches_serial(case in arb_case()) {
+    fn forward_matches_one_worker(case in arb_case()) {
         let query = TopKQuery::new(case.k, case.aggregate).include_self(case.include_self);
         let mut engine = LonaEngine::new(&case.g, case.h);
         for order in [
@@ -82,13 +83,10 @@ proptest! {
             ProcessingOrder::ScoreDescending,
         ] {
             let opts = ForwardOptions { order };
-            let serial = engine.run(&Algorithm::LonaForward(opts), &query, &case.scores);
+            let algorithm = Algorithm::LonaForward(opts);
+            let serial = engine.run(&algorithm, &query, &case.scores);
             for threads in THREAD_COUNTS {
-                let parallel = engine.run(
-                    &Algorithm::ParallelForward { opts, threads },
-                    &query,
-                    &case.scores,
-                );
+                let parallel = engine.run_threads(&algorithm, threads, &query, &case.scores);
                 prop_assert!(
                     parallel.same_values(&serial, 1e-9),
                     "forward t={threads} {order:?} h={} k={} {:?}: {:?} vs {:?}",
@@ -98,8 +96,12 @@ proptest! {
                     parallel.values(),
                     serial.values()
                 );
+                // Prunes are strict, so every node that could tie into
+                // the top-k is evaluated exactly: same entries.
+                prop_assert_eq!(parallel.nodes(), serial.nodes(), "forward t={}", threads);
+                prop_assert_eq!(parallel.values(), serial.values(), "forward t={}", threads);
                 // Pruning races only ever evaluate MORE nodes than
-                // serial, never fewer prunes than zero; the state
+                // one worker, never fewer prunes than zero; the state
                 // machine still accounts for every node.
                 prop_assert_eq!(
                     parallel.stats.nodes_evaluated + parallel.stats.nodes_pruned,
@@ -109,10 +111,10 @@ proptest! {
         }
     }
 
-    /// ParallelBackward matches serial LONA-Backward for several γ
-    /// policies and every thread count.
+    /// LONA-Backward matches its one-worker run for several γ
+    /// policies and every worker count.
     #[test]
-    fn parallel_backward_matches_serial(case in arb_case()) {
+    fn backward_matches_one_worker(case in arb_case()) {
         let query = TopKQuery::new(case.k, case.aggregate).include_self(case.include_self);
         let mut engine = LonaEngine::new(&case.g, case.h);
         for gamma in [
@@ -122,13 +124,10 @@ proptest! {
             GammaSpec::Auto,
         ] {
             let opts = BackwardOptions { gamma };
-            let serial = engine.run(&Algorithm::LonaBackward(opts), &query, &case.scores);
+            let algorithm = Algorithm::LonaBackward(opts);
+            let serial = engine.run(&algorithm, &query, &case.scores);
             for threads in THREAD_COUNTS {
-                let parallel = engine.run(
-                    &Algorithm::ParallelBackward { opts, threads },
-                    &query,
-                    &case.scores,
-                );
+                let parallel = engine.run_threads(&algorithm, threads, &query, &case.scores);
                 prop_assert!(
                     parallel.same_values(&serial, 1e-9),
                     "backward t={threads} {gamma:?} h={} k={} {:?}: {:?} vs {:?}",
@@ -142,15 +141,15 @@ proptest! {
         }
     }
 
-    /// ParallelBase is bit-identical to Base (exact evaluation
-    /// commutes) at every thread count.
+    /// Base is bit-identical to its one-worker run (exact evaluation
+    /// commutes) at every worker count.
     #[test]
-    fn parallel_base_matches_serial(case in arb_case()) {
+    fn base_matches_one_worker(case in arb_case()) {
         let query = TopKQuery::new(case.k, case.aggregate).include_self(case.include_self);
         let mut engine = LonaEngine::new(&case.g, case.h);
         let serial = engine.run(&Algorithm::Base, &query, &case.scores);
         for threads in THREAD_COUNTS {
-            let parallel = engine.run(&Algorithm::ParallelBase(threads), &query, &case.scores);
+            let parallel = engine.run_threads(&Algorithm::Base, threads, &query, &case.scores);
             prop_assert_eq!(parallel.nodes(), serial.nodes(), "t={}", threads);
             prop_assert_eq!(parallel.values(), serial.values(), "t={}", threads);
         }

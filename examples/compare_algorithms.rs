@@ -38,17 +38,23 @@ fn main() {
     );
 
     let mut reference: Option<QueryResult> = None;
-    for algorithm in [
-        Algorithm::Base,
-        Algorithm::ParallelBase(0),
-        Algorithm::forward(),
-        Algorithm::BackwardNaive,
-        Algorithm::backward(),
+    // (algorithm, workers): Base runs twice, on one worker and on one
+    // worker per core (0).
+    for (algorithm, threads) in [
+        (Algorithm::Base, 1),
+        (Algorithm::Base, 0),
+        (Algorithm::forward(), 1),
+        (Algorithm::BackwardNaive, 1),
+        (Algorithm::backward(), 1),
     ] {
-        let result = engine.run(&algorithm, &query, &scores);
+        let result = engine.run_threads(&algorithm, threads, &query, &scores);
+        let label = match threads {
+            1 => algorithm.name().to_string(),
+            _ => format!("{} (cores)", algorithm.name()),
+        };
         println!(
             "{:<14} {:>10} {:>10} {:>12} {:>12} {:>10.2?}",
-            algorithm.name(),
+            label,
             result.stats.nodes_evaluated,
             result.stats.nodes_pruned,
             result.stats.edges_traversed,

@@ -7,7 +7,6 @@
 //! format's whole claim).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,18 +15,24 @@ use lona::prelude::*;
 use lona_cli::args::{AlgorithmChoice, Command};
 use lona_cli::commands::{execute, parse_query_lines, run_batch_file, BatchRunOptions};
 
+mod common;
+use common::TempDir;
+
 const SEED: u64 = 2024;
 const HOPS: u32 = 2;
 
-/// Stage a fixed-seed edge list and its compiled twin in a temp dir.
-/// Scores are left to the default mixture on both paths, which the
-/// compile command mirrors from `lona topk` — that shared derivation
-/// is itself part of what this smoke pins down.
-fn stage() -> (PathBuf, String, String) {
-    let dir = std::env::temp_dir().join(format!("lona-compile-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let edges = dir.join("smoke.edges").to_string_lossy().into_owned();
-    let packed = dir.join("smoke.lona").to_string_lossy().into_owned();
+/// Stage a fixed-seed edge list and its compiled twin in a fresh temp
+/// dir. Scores are left to the default mixture on both paths, which
+/// the compile command mirrors from `lona topk` — that shared
+/// derivation is itself part of what this smoke pins down.
+fn stage() -> (TempDir, String, String) {
+    let dir = TempDir::new("lona-compile-smoke");
+    let edges = dir
+        .path()
+        .join("smoke.edges")
+        .to_string_lossy()
+        .into_owned();
+    let packed = dir.path().join("smoke.lona").to_string_lossy().into_owned();
 
     execute(&Command::Generate {
         kind: DatasetKind::Collaboration,

@@ -6,7 +6,6 @@
 //! shape) must load as natural order with no permutation attached.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use lona::graph::GraphStore;
 use lona::prelude::*;
@@ -14,15 +13,21 @@ use lona::prelude::*;
 use lona_cli::args::{AlgorithmChoice, Command};
 use lona_cli::commands::{execute, parse_query_lines, run_batch_file, BatchRunOptions};
 
+mod common;
+use common::TempDir;
+
 const SEED: u64 = 4040;
 const HOPS: u32 = 2;
 
 /// Stage a fixed-seed edge list plus one compiled container per node
-/// order in a temp dir.
-fn stage() -> (PathBuf, String, BTreeMap<&'static str, String>) {
-    let dir = std::env::temp_dir().join(format!("lona-order-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let edges = dir.join("smoke.edges").to_string_lossy().into_owned();
+/// order in a fresh temp dir.
+fn stage() -> (TempDir, String, BTreeMap<&'static str, String>) {
+    let dir = TempDir::new("lona-order-smoke");
+    let edges = dir
+        .path()
+        .join("smoke.edges")
+        .to_string_lossy()
+        .into_owned();
     execute(&Command::Generate {
         kind: DatasetKind::Collaboration,
         out: edges.clone(),
@@ -38,6 +43,7 @@ fn stage() -> (PathBuf, String, BTreeMap<&'static str, String>) {
         ("bfs", NodeOrder::Bfs),
     ] {
         let out = dir
+            .path()
             .join(format!("smoke-{name}.lona"))
             .to_string_lossy()
             .into_owned();
