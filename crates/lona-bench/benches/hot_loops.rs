@@ -98,8 +98,9 @@ fn scans(c: &mut Criterion) {
 /// Natural vs. degree-/BFS-reordered sum scans over the *same*
 /// sampled nodes (mapped through the permutation, scores permuted to
 /// match). Work counters are identical by construction — see
-/// `figures --locality --check` — so any delta here is pure memory
-/// layout: the per-edge cost the reordering exists to shrink.
+/// `order_props::reordered_matches_natural` — so any delta here is
+/// pure memory layout: the per-edge cost the reordering exists to
+/// shrink.
 fn reordered_scans(c: &mut Criterion) {
     let (g, _compiled, scores) = backends();
     let nodes = sample_nodes(g.num_nodes() as u32);

@@ -1,4 +1,4 @@
-//! Ablation experiments A1–A6 (DESIGN.md §5): each isolates one
+//! Ablation experiments A1–A8 (DESIGN.md §5): each isolates one
 //! design choice the paper leaves open.
 
 use std::fmt::Write as _;
@@ -236,12 +236,43 @@ pub fn relational(scale: f64, seed: u64) -> String {
 
 /// A7 — thread scaling of every algorithm family (the shared-memory
 /// form of the paper's "distribute into multiple machines" plan):
-/// Base, Forward and Backward at several worker counts, each against
-/// its one-worker baseline.
+/// Base, Forward and Backward at 1, 2, 4 and 8 workers through
+/// [`LonaEngine::run_threads`], each against its one-worker run.
 pub fn threads(scale: f64, seed: u64) -> String {
-    let data = crate::scaling::run_scaling(scale, seed, 1, &crate::scaling::THREAD_COUNTS);
+    let workload = Workload::paper(DatasetKind::Citation, scale, 0.01, seed);
+    let (g, scores) = workload.build();
+    let mut engine = LonaEngine::new(&g, 2);
+    engine.prepare_diff_index();
+    let query = TopKQuery::new(100.min(g.num_nodes()), Aggregate::Sum);
+
     let mut out = String::from("A7. Thread scaling, all families (citation, SUM, k=100)\n");
-    out.push_str(&crate::scaling::ascii_table(&data));
+    let _ = writeln!(out, "  workload: {}", workload.describe(&g, &scores));
+    let _ = writeln!(
+        out,
+        "  {:<10} {:>8} {:>12} {:>9}",
+        "family", "threads", "runtime", "speedup"
+    );
+    for (name, alg) in [
+        ("Base", Algorithm::Base),
+        ("Forward", Algorithm::forward()),
+        ("Backward", Algorithm::backward()),
+    ] {
+        let runs = [1usize, 2, 4, 8].map(|threads| {
+            let r = engine.run_threads(&alg, threads, &query, &scores);
+            (threads, r.stats.runtime)
+        });
+        let one_worker = runs[0].1;
+        for (threads, runtime) in runs {
+            let _ = writeln!(
+                out,
+                "  {:<10} {:>8} {:>12} {:>8.2}x",
+                name,
+                threads,
+                format_duration(runtime),
+                one_worker.as_secs_f64() / runtime.as_secs_f64().max(1e-9)
+            );
+        }
+    }
     out
 }
 
@@ -319,6 +350,24 @@ mod tests {
             let report = run(name, 0.004, 3).unwrap();
             assert!(report.starts_with('A'), "{name} report malformed: {report}");
             assert!(report.lines().count() >= 3, "{name} report too short");
+            if name == "threads" {
+                assert_threads_table(&report);
+            }
+        }
+    }
+
+    /// A7 covers every family at every worker count, with speedups
+    /// measured against that family's one-worker run.
+    fn assert_threads_table(report: &str) {
+        for family in ["Base", "Forward", "Backward"] {
+            let rows: Vec<Vec<&str>> = report
+                .lines()
+                .map(|l| l.split_whitespace().collect::<Vec<_>>())
+                .filter(|cols| cols.first() == Some(&family))
+                .collect();
+            let workers: Vec<&str> = rows.iter().map(|cols| cols[1]).collect();
+            assert_eq!(workers, ["1", "2", "4", "8"], "{family}: {report}");
+            assert_eq!(rows[0].last(), Some(&"1.00x"), "{family}: {report}");
         }
     }
 

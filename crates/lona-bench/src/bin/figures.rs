@@ -7,13 +7,8 @@
 //! # One figure, custom scale/seed/repetitions:
 //! cargo run --release -p lona-bench --bin figures -- --fig 2 --scale 0.05 --reps 5
 //!
-//! # Ablations:
+//! # Ablations (A7 is the worker-count sweep):
 //! cargo run --release -p lona-bench --bin figures -- --ablation all
-//!
-//! # Thread-scaling figure (all algorithm families); emits
-//! # BENCH_scaling.json in the working directory (run from the repo
-//! # root so the perf trajectory accumulates there):
-//! cargo run --release -p lona-bench --bin figures -- --scaling
 //!
 //! # Quick smoke (small scales, 1 rep):
 //! cargo run --release -p lona-bench --bin figures -- --quick
@@ -24,61 +19,42 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lona_bench::{
-    ablations, figures::FIGURES, locality, report, run_figure, scaling, serve_bench, shard_scaling,
-    startup, throughput, updates,
-};
+use lona_bench::{ablations, figures::FIGURES, report, run_figure};
 use lona_gen::{DatasetKind, DatasetProfile};
 
+const USAGE: &str = "usage: figures [--fig N|all] [--ablation NAME|all] \
+                     [--scale F] [--seed N] [--reps N] [--out DIR] [--quick]";
+
+#[derive(Debug)]
 struct Args {
     fig: Option<u32>,
     ablation: Option<String>,
-    scaling: bool,
-    throughput: bool,
-    shards: bool,
-    serve: bool,
-    startup: bool,
-    locality: bool,
-    updates: bool,
-    /// With --throughput, --shards, --serve, --startup, --locality or
-    /// --updates:
-    /// apply the
-    /// deterministic work-counter gate and exit non-zero when the
-    /// measured mode does too much work or results diverge (the CI
-    /// `throughput-smoke` / `shard-smoke` / `serve-smoke` guards).
-    check: bool,
-    queries: usize,
     scale: Option<f64>,
     seed: u64,
     reps: usize,
     quick: bool,
-    /// `--out DIR` if given. Figures default to `results/`; the
-    /// scaling JSON defaults to the working directory (the repo root
-    /// when run via `cargo run` from the checkout) so the trajectory
-    /// file accumulates there.
+    /// `--out DIR` if given; figures default to `results/`.
     out_dir: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// What the command line asks for.
+#[derive(Debug)]
+enum Invocation {
+    Run(Args),
+    Help,
+}
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
     let mut args = Args {
         fig: None,
         ablation: None,
-        scaling: false,
-        throughput: false,
-        shards: false,
-        serve: false,
-        startup: false,
-        locality: false,
-        updates: false,
-        check: false,
-        queries: 512,
         scale: None,
         seed: 42,
         reps: 3,
         quick: false,
         out_dir: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
             it.next().ok_or_else(|| format!("{name} requires a value"))
@@ -87,23 +63,14 @@ fn parse_args() -> Result<Args, String> {
             "--fig" => {
                 let v = value("--fig")?;
                 if v != "all" {
-                    args.fig = Some(v.parse().map_err(|_| format!("bad figure number `{v}`"))?);
+                    let known: Vec<u32> = FIGURES.iter().map(|s| s.id).collect();
+                    match v.parse() {
+                        Ok(id) if known.contains(&id) => args.fig = Some(id),
+                        _ => return Err(format!("unknown figure `{v}` (known: {known:?})")),
+                    }
                 }
             }
             "--ablation" => args.ablation = Some(value("--ablation")?),
-            "--scaling" => args.scaling = true,
-            "--throughput" => args.throughput = true,
-            "--shards" => args.shards = true,
-            "--serve" => args.serve = true,
-            "--startup" => args.startup = true,
-            "--locality" => args.locality = true,
-            "--updates" => args.updates = true,
-            "--check" => args.check = true,
-            "--queries" => {
-                args.queries = value("--queries")?
-                    .parse()
-                    .map_err(|e| format!("bad queries: {e}"))?
-            }
             "--scale" => {
                 args.scale = Some(
                     value("--scale")?
@@ -123,20 +90,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out_dir = Some(PathBuf::from(value("--out")?)),
             "--quick" => args.quick = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: figures [--fig N|all] [--ablation NAME|all] [--scaling] \
-                            [--throughput [--check] [--queries N]] [--shards [--check]] \
-                            [--serve [--check] [--queries N]] [--startup [--check]] \
-                            [--locality [--check]] [--updates [--check]] \
-                            [--scale F] [--seed N] [--reps N] [--out DIR] [--quick]"
-                        .into(),
-                )
-            }
+            "--help" | "-h" => return Ok(Invocation::Help),
             other => return Err(format!("unknown flag `{other}` (try --help)")),
         }
     }
-    Ok(args)
+    Ok(Invocation::Run(args))
 }
 
 fn figure_scale(dataset: DatasetKind, args: &Args) -> f64 {
@@ -150,298 +108,18 @@ fn figure_scale(dataset: DatasetKind, args: &Args) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Invocation::Run(a)) => a,
+        Ok(Invocation::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
     let reps = if args.quick { 1 } else { args.reps };
-
-    // Thread-scaling invocation: print the table, write the JSON
-    // trajectory file (working directory by default, `--out DIR` if
-    // given).
-    if args.scaling {
-        let scale = args.scale.unwrap_or(if args.quick { 0.01 } else { 0.1 });
-        eprintln!("running thread-scaling sweep at scale {scale} (reps {reps})...");
-        let data = scaling::run_scaling(scale, args.seed, reps, &scaling::THREAD_COUNTS);
-        println!("{}", scaling::ascii_table(&data));
-        let path = match &args.out_dir {
-            Some(dir) => {
-                if std::fs::create_dir_all(dir).is_err() {
-                    eprintln!("cannot create output directory {dir:?}");
-                    return ExitCode::FAILURE;
-                }
-                dir.join("BENCH_scaling.json")
-            }
-            None => PathBuf::from("BENCH_scaling.json"),
-        };
-        if let Err(e) = std::fs::write(&path, scaling::json(&data)) {
-            eprintln!("failed to write {path:?}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("  -> {path:?}");
-        return ExitCode::SUCCESS;
-    }
-
-    // Batch-throughput invocation: print the table, write the JSON
-    // trajectory file, and with --check apply the deterministic gate
-    // (work counters + result identity — never wall clock, so the
-    // guard cannot flake on a noisy or single-core runner).
-    if args.throughput {
-        let scale = args.scale.unwrap_or(if args.quick { 0.01 } else { 0.05 });
-        let queries = if args.quick {
-            args.queries.min(128)
-        } else {
-            args.queries
-        };
-        eprintln!(
-            "running batch-throughput sweep at scale {scale} ({queries} queries, reps {reps})..."
-        );
-        let data =
-            throughput::run_throughput(scale, args.seed, reps, queries, &throughput::BATCH_THREADS);
-        println!("{}", throughput::ascii_table(&data));
-        let path = match &args.out_dir {
-            Some(dir) => {
-                if std::fs::create_dir_all(dir).is_err() {
-                    eprintln!("cannot create output directory {dir:?}");
-                    return ExitCode::FAILURE;
-                }
-                dir.join("BENCH_throughput.json")
-            }
-            None => PathBuf::from("BENCH_throughput.json"),
-        };
-        if let Err(e) = std::fs::write(&path, throughput::json(&data)) {
-            eprintln!("failed to write {path:?}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("  -> {path:?}");
-        if args.check {
-            if let Err(msg) = throughput::guard(&data) {
-                eprintln!("throughput guard FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "throughput guard ok: work ratio {:.3} <= {}, results identical",
-                data.work_ratio(),
-                throughput::MAX_WORK_RATIO
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Shard-scaling invocation: print the table, write the JSON
-    // trajectory file, and with --check apply the deterministic gate
-    // (cross-shard work ratio, result identity and the TA skip
-    // counters — never wall clock).
-    if args.shards {
-        let scale = args.scale.unwrap_or(if args.quick { 0.012 } else { 0.1 });
-        eprintln!("running shard-scaling sweep at scale {scale}...");
-        let data = shard_scaling::run_shard_scaling(scale);
-        println!("{}", shard_scaling::ascii_table(&data));
-        let path = match &args.out_dir {
-            Some(dir) => {
-                if std::fs::create_dir_all(dir).is_err() {
-                    eprintln!("cannot create output directory {dir:?}");
-                    return ExitCode::FAILURE;
-                }
-                dir.join("BENCH_shards.json")
-            }
-            None => PathBuf::from("BENCH_shards.json"),
-        };
-        if let Err(e) = std::fs::write(&path, shard_scaling::json(&data)) {
-            eprintln!("failed to write {path:?}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("  -> {path:?}");
-        if args.check {
-            if let Err(msg) = shard_scaling::guard(&data) {
-                eprintln!("shard guard FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "shard guard ok: contiguous work ratio <= {}, results identical, \
-                 TA rule skipping re-queries",
-                shard_scaling::MAX_SHARD_WORK_RATIO
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Serve-throughput invocation: run the loopback sweep, print the
-    // table, write the JSON trajectory file, and with --check apply
-    // the deterministic gate (response identity + work ratio + warm
-    // resident state — never wall clock).
-    if args.serve {
-        let scale = args.scale.unwrap_or(if args.quick { 0.01 } else { 0.05 });
-        let requests = if args.quick {
-            args.queries.min(96)
-        } else {
-            args.queries
-        };
-        eprintln!(
-            "running serve-throughput sweep at scale {scale} ({requests} requests, {} clients)...",
-            serve_bench::SERVE_CLIENTS
-        );
-        let data = serve_bench::run_serve_bench(
-            scale,
-            args.seed,
-            requests,
-            serve_bench::SERVE_CLIENTS,
-            &serve_bench::SERVE_WORKERS,
-        );
-        println!("{}", serve_bench::ascii_table(&data));
-        let path = match &args.out_dir {
-            Some(dir) => {
-                if std::fs::create_dir_all(dir).is_err() {
-                    eprintln!("cannot create output directory {dir:?}");
-                    return ExitCode::FAILURE;
-                }
-                dir.join("BENCH_serve.json")
-            }
-            None => PathBuf::from("BENCH_serve.json"),
-        };
-        if let Err(e) = std::fs::write(&path, serve_bench::json(&data)) {
-            eprintln!("failed to write {path:?}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("  -> {path:?}");
-        if args.check {
-            if let Err(msg) = serve_bench::guard(&data) {
-                eprintln!("serve guard FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "serve guard ok: work ratio {:.3} <= {}, responses identical, state warm",
-                data.work_ratio(),
-                lona_bench::throughput::MAX_WORK_RATIO
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Startup-latency invocation: compare cold edge-list startup
-    // (parse + index build + first query) against compiled-mmap
-    // startup, write the JSON trajectory file, and with --check apply
-    // the deterministic gate (result identity + a zero index-build
-    // counter on the mapped path — never wall clock).
-    if args.startup {
-        let scale = args.scale.unwrap_or(if args.quick { 0.01 } else { 0.1 });
-        eprintln!("running startup-latency comparison at scale {scale}...");
-        let staging = std::env::temp_dir().join("lona-startup-bench");
-        let data = startup::run_startup(scale, args.seed, &staging);
-        println!("{}", startup::ascii_table(&data));
-        let path = match &args.out_dir {
-            Some(dir) => {
-                if std::fs::create_dir_all(dir).is_err() {
-                    eprintln!("cannot create output directory {dir:?}");
-                    return ExitCode::FAILURE;
-                }
-                dir.join("BENCH_startup.json")
-            }
-            None => PathBuf::from("BENCH_startup.json"),
-        };
-        if let Err(e) = std::fs::write(&path, startup::json(&data)) {
-            eprintln!("failed to write {path:?}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("  -> {path:?}");
-        if args.check {
-            if let Err(msg) = startup::guard(&data) {
-                eprintln!("startup guard FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "startup guard ok: results identical, mapped path built 0 indexes \
-                 ({:.1}x time-to-first-result)",
-                data.startup_speedup()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Cache-locality invocation: compare natural-order Base scans
-    // against degree-/BFS-reordered copies (and both compiled
-    // container shapes), write the JSON trajectory file, and with
-    // --check apply the deterministic gate (identical Base work
-    // counters under every numbering, value/rank agreement, and
-    // container round-trips — never wall clock).
-    if args.locality {
-        let scale = args.scale.unwrap_or(if args.quick { 0.01 } else { 0.1 });
-        eprintln!("running cache-locality comparison at scale {scale}...");
-        let staging = std::env::temp_dir().join("lona-locality-bench");
-        let data = locality::run_locality(scale, args.seed, &staging);
-        println!("{}", locality::ascii_table(&data));
-        let path = match &args.out_dir {
-            Some(dir) => {
-                if std::fs::create_dir_all(dir).is_err() {
-                    eprintln!("cannot create output directory {dir:?}");
-                    return ExitCode::FAILURE;
-                }
-                dir.join("BENCH_locality.json")
-            }
-            None => PathBuf::from("BENCH_locality.json"),
-        };
-        if let Err(e) = std::fs::write(&path, locality::json(&data)) {
-            eprintln!("failed to write {path:?}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("  -> {path:?}");
-        if args.check {
-            if let Err(msg) = locality::guard(&data) {
-                eprintln!("locality guard FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "locality guard ok: Base counters identical under every numbering, \
-                 values and ranks agree, containers round-trip"
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Incremental-update invocation: apply a localized delta to a
-    // warm engine, repair its indexes in place, compare against a
-    // from-scratch rebuild, write the JSON trajectory file, and with
-    // --check apply the deterministic gate (result identity, a zero
-    // build counter on the repaired state, and repair counters proving
-    // the work stayed local — never wall clock).
-    if args.updates {
-        let scale = args.scale.unwrap_or(if args.quick { 0.01 } else { 0.1 });
-        eprintln!("running incremental-update comparison at scale {scale}...");
-        let data = updates::run_updates(scale, args.seed);
-        println!("{}", updates::ascii_table(&data));
-        let path = match &args.out_dir {
-            Some(dir) => {
-                if std::fs::create_dir_all(dir).is_err() {
-                    eprintln!("cannot create output directory {dir:?}");
-                    return ExitCode::FAILURE;
-                }
-                dir.join("BENCH_updates.json")
-            }
-            None => PathBuf::from("BENCH_updates.json"),
-        };
-        if let Err(e) = std::fs::write(&path, updates::json(&data)) {
-            eprintln!("failed to write {path:?}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("  -> {path:?}");
-        if args.check {
-            if let Err(msg) = updates::guard(&data) {
-                eprintln!("updates guard FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "updates guard ok: results identical, repaired state built 0 indexes, \
-                 {} of {} units repaired ({:.1}x repair speedup)",
-                data.entries_repaired,
-                data.full_units,
-                data.repair_speedup()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
 
     // Ablation-only invocation.
     if let Some(name) = &args.ablation {
@@ -488,4 +166,44 @@ fn main() -> ExitCode {
         eprintln!("  -> {csv_path:?}");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Invocation, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn help_is_not_an_error() {
+        for flag in ["--help", "-h"] {
+            assert!(matches!(parse(&[flag]), Ok(Invocation::Help)), "{flag}");
+        }
+        // Even after other flags.
+        assert!(matches!(
+            parse(&["--quick", "--help"]),
+            Ok(Invocation::Help)
+        ));
+    }
+
+    #[test]
+    fn figure_ids_outside_the_paper_are_rejected() {
+        for bad in ["0", "7", "-1", "two"] {
+            let err = parse(&["--fig", bad]).unwrap_err();
+            assert!(err.contains("unknown figure"), "{bad}: {err}");
+            assert!(err.contains("[1, 2, 3, 4, 5, 6]"), "{bad}: {err}");
+        }
+        for id in 1..=6u32 {
+            match parse(&["--fig", &id.to_string()]) {
+                Ok(Invocation::Run(args)) => assert_eq!(args.fig, Some(id)),
+                other => panic!("--fig {id}: {other:?}"),
+            }
+        }
+        match parse(&["--fig", "all"]) {
+            Ok(Invocation::Run(args)) => assert_eq!(args.fig, None),
+            other => panic!("--fig all: {other:?}"),
+        }
+    }
 }

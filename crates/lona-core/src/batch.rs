@@ -21,8 +21,7 @@
 //! count: inter-query mode runs one-worker plans (just on different
 //! threads), and intra-query mode only splits Base and LONA-Forward,
 //! whose answers do not depend on the worker count (DESIGN.md §8).
-//! The CI `throughput-smoke` job and `tests/batch_smoke.rs` hold this
-//! line.
+//! `batch_props` and `tests/batch_smoke.rs` hold this line.
 //!
 //! ## Stats
 //!

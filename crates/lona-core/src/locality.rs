@@ -234,6 +234,71 @@ mod tests {
     }
 
     #[test]
+    fn orders_agree_and_containers_roundtrip() {
+        use crate::compiled::{compile_to_vec, CompileSpec, CompiledGraph};
+
+        let (g, scores) = workload();
+        let sum = TopKQuery::new(10, Aggregate::Sum);
+        let natural = LonaEngine::new(&g, 2).run(&Algorithm::Base, &sum, &scores);
+        // Original ids must match wherever values are distinct beyond
+        // 1e-9; a closer pair is a tie the numberings may break apart.
+        let ranks_agree = |r: &QueryResult| {
+            r.entries.len() == natural.entries.len()
+                && r.entries
+                    .iter()
+                    .zip(&natural.entries)
+                    .all(|(a, b)| a.0 == b.0 || (a.1 - b.1).abs() <= 1e-9)
+        };
+        for order in [NodeOrder::Degree, NodeOrder::Bfs] {
+            let mut eng = ReorderedEngine::new(&g, order, 2);
+            let r = eng.run(&Algorithm::Base, &sum, &scores);
+            assert!(ranks_agree(&r), "{order} ranked different nodes");
+            for agg in [Aggregate::Avg, Aggregate::Max] {
+                let q = TopKQuery::new(10, agg);
+                let want = LonaEngine::new(&g, 2).run(&Algorithm::Base, &q, &scores);
+                let got = eng.run(&Algorithm::Base, &q, &scores);
+                let eps = if agg == Aggregate::Max { 0.0 } else { 1e-9 };
+                assert!(got.same_values(&want, eps), "{order} {agg:?} diverged");
+            }
+        }
+
+        // A natural container carries no permutation and answers
+        // bit-identically; a degree container recovers its order and,
+        // mapped back, does the same Base work and ranking as natural.
+        for order in [NodeOrder::Natural, NodeOrder::Degree] {
+            let spec = CompileSpec {
+                graph: g.view(),
+                scores: Some(&scores),
+                hops: &[2],
+                with_diff: true,
+                order,
+            };
+            let c = CompiledGraph::from_bytes(compile_to_vec(&spec).unwrap()).unwrap();
+            assert_eq!(c.order(), order);
+            let embedded = c.scores().cloned().unwrap();
+            let state = c.engine_state(2).unwrap();
+            let mut engine = LonaEngine::from_state(&c, 2, state);
+            let mut r = engine.run(&Algorithm::Base, &sum, &embedded);
+            assert_eq!(r.stats.edges_traversed, natural.stats.edges_traversed);
+            assert_eq!(r.stats.nodes_evaluated, natural.stats.nodes_evaluated);
+            match c.permutation() {
+                None => {
+                    assert_eq!(order, NodeOrder::Natural);
+                    let bits = |q: &QueryResult| -> Vec<(NodeId, u64)> {
+                        q.entries.iter().map(|e| (e.0, e.1.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&r), bits(&natural));
+                }
+                Some(perm) => {
+                    assert_eq!(order, NodeOrder::Degree);
+                    map_entries_to_original(perm, &mut r.entries);
+                    assert!(r.same_values(&natural, 1e-9) && ranks_agree(&r));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn entries_come_back_in_original_ids() {
         let (g, scores) = workload();
         let n = g.num_nodes() as u32;

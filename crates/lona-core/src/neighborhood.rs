@@ -1,10 +1,10 @@
 //! Instrumented h-hop neighborhood scanning.
 //!
 //! This is the single hot loop shared by every algorithm in the
-//! suite. Unlike the generic [`lona_graph::traversal::KhopCollector`],
-//! the scanner counts *edge accesses* — the cost unit of the paper's
-//! analysis ("the number of edges to be accessed could be around
-//! `m^h · |V|`").
+//! suite. The scanner reuses its buffers and
+//! [`lona_graph::traversal::EpochSet`] across calls, and counts *edge
+//! accesses* — the cost unit of the paper's analysis ("the number of
+//! edges to be accessed could be around `m^h · |V|`").
 //!
 //! ## Canonical accumulation order
 //!

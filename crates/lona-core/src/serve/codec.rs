@@ -298,8 +298,9 @@ impl ServeStats {
         }
     }
 
-    /// Deterministic work units of this response (the same formula as
-    /// the throughput workload's `work_units`).
+    /// Deterministic work units of this response: adjacency entries
+    /// touched plus nodes evaluated, pruned and distributed. This is
+    /// the unit the smoke tests' work budgets count.
     pub fn work_units(&self) -> u64 {
         self.edges_traversed + self.nodes_evaluated + self.nodes_pruned + self.nodes_distributed
     }

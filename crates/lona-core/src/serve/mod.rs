@@ -32,10 +32,10 @@
 //!   the serve benchmark.
 //!
 //! The load-bearing property (argued in `server`, enforced by
-//! `tests/serve_smoke.rs`, `tests/serve_stress.rs`, and CI's
-//! `serve-smoke`/`serve-stress` jobs): responses are **bit-identical
-//! to a sequential [`crate::engine::LonaEngine::run`] loop** over the
-//! same requests, at any worker count, any micro-batch composition,
+//! `tests/serve_smoke.rs` and `tests/serve_stress.rs`): responses are
+//! **bit-identical to a sequential
+//! [`crate::engine::LonaEngine::run`] loop** over the same requests,
+//! at any worker count, any micro-batch composition,
 //! and either backend (single-engine or sharded). DESIGN.md §10 has
 //! the v1 wire format and admission policy; §12 covers the bounded
 //! queue, shedding rule, histograms, the v2 layout, and the sharded

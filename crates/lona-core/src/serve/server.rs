@@ -73,8 +73,7 @@
 //! server. Each response reports the build time its micro-batch was
 //! charged ([`ServeStats::index_build_nanos`]); after the first
 //! batch at a given radius it is zero — the regression surface the
-//! serve smoke test, the stress test, and the `figures --serve`
-//! guard gate on.
+//! serve smoke and stress tests gate on.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, BufWriter, Write};

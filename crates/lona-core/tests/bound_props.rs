@@ -1,10 +1,12 @@
 //! Property tests: the pruning bounds of Equations 1–3 are true upper
-//! bounds on random inputs.
+//! bounds on random inputs, and the h-hop neighborhoods and indexes
+//! they are computed from match their BFS definitions.
 
 use proptest::prelude::*;
 
 use lona_core::bounds::{avg_from_sum_bound, backward_sum_bound, forward_sum_bound};
 use lona_core::index::{DiffIndex, SizeIndex};
+use lona_core::neighborhood::NeighborhoodScanner;
 use lona_core::validate::brute_force_value;
 use lona_core::{Aggregate, GammaSpec, TopKQuery};
 use lona_graph::traversal::bfs_distances;
@@ -124,6 +126,28 @@ proptest! {
                 bound >= true_sum - 1e-9,
                 "Eq.3 violated at {v:?} (γ={gamma}): bound {bound} < true {true_sum}"
             );
+        }
+    }
+
+    /// `NeighborhoodScanner::for_each` visits exactly the h-hop ball
+    /// `S_h(u) = {v ≠ u : dist(u, v) ≤ h}`, each member once. One
+    /// scanner serves every source, so no state may leak between scans.
+    #[test]
+    fn scanner_visits_exact_h_hop_ball(
+        (g, _) in arb_graph_scores(),
+        h in 1u32..4,
+    ) {
+        let mut scanner = NeighborhoodScanner::new(g.num_nodes());
+        for u in g.nodes() {
+            let dist = bfs_distances(&g, u);
+            let expect: Vec<u32> = (0..g.num_nodes() as u32)
+                .filter(|&v| v != u.0 && dist[v as usize] <= h)
+                .collect();
+            let mut got = Vec::new();
+            let (count, _) = scanner.for_each(g.view(), u, h, |v| got.push(v));
+            prop_assert_eq!(count, got.len());
+            got.sort_unstable();
+            prop_assert_eq!(got, expect, "S_{}({:?})", h, u);
         }
     }
 

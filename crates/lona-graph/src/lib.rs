@@ -12,13 +12,12 @@
 //!   `u32` node ids, optional edge weights, and O(1) neighbor slices.
 //! * [`GraphBuilder`] — safe construction from edge lists with
 //!   deduplication, self-loop policy, and undirected symmetrization.
-//! * [`traversal`] — epoch-stamped visited sets and reusable h-hop BFS
-//!   collectors; these are the inner loops of every LONA algorithm.
+//! * [`traversal`] — epoch-stamped visited sets and BFS; the visited
+//!   sets back the h-hop scanner at the heart of every LONA algorithm.
 //! * [`algo`] — connected components, degree statistics, triangle
 //!   counting and distance sampling used to characterize datasets.
 //! * [`io`] — whitespace edge-list text format and a compact binary
 //!   snapshot format.
-//! * [`view`] — induced subgraphs.
 //! * [`mod@partition`] — edge-cut sharding with halo replication, the
 //!   storage layer of the scatter-gather engine.
 //! * [`mod@order`] — cache-locality node renumbering (degree/BFS
@@ -62,7 +61,6 @@ mod overlay;
 pub mod partition;
 mod store;
 pub mod traversal;
-pub mod view;
 
 pub use builder::{GraphBuilder, SelfLoopPolicy};
 pub use csr::{CsrGraph, CsrView, EdgeIter, NeighborIter};

@@ -10,9 +10,10 @@ use super::visited::EpochSet;
 /// A breadth-first traversal yielding `(node, distance)` pairs starting
 /// from (and including) the source at distance 0.
 ///
-/// For repeated traversals prefer [`super::KhopCollector`], which
-/// reuses its buffers; `Bfs` allocates per instance and is intended for
-/// one-off full traversals (components, distance sampling).
+/// `Bfs` allocates per instance and is intended for one-off full
+/// traversals (components, distance sampling). Repeated bounded-depth
+/// expansions belong in `lona_core::neighborhood::NeighborhoodScanner`,
+/// which reuses its buffers across calls.
 pub struct Bfs<'a> {
     g: &'a CsrGraph,
     queue: VecDeque<(NodeId, u32)>,

@@ -1,11 +1,10 @@
-//! Traversal primitives: epoch-stamped visited sets, BFS, and the
-//! reusable h-hop neighborhood collector that is the inner loop of
-//! every LONA algorithm.
+//! Traversal primitives: epoch-stamped visited sets and BFS. The
+//! engine's reusable h-hop scanner,
+//! `lona_core::neighborhood::NeighborhoodScanner`, is built on
+//! [`EpochSet`].
 
 mod bfs;
-mod khop;
 mod visited;
 
 pub use bfs::{bfs_distances, Bfs};
-pub use khop::KhopCollector;
 pub use visited::EpochSet;

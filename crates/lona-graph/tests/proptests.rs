@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use lona_graph::io::{read_snapshot, write_snapshot};
-use lona_graph::traversal::{bfs_distances, KhopCollector};
 use lona_graph::{CsrGraph, GraphBuilder};
 
 /// Strategy: a random simple undirected graph with up to `n` nodes.
@@ -48,24 +47,6 @@ proptest! {
         prop_assert_eq!(g.edges().count(), g.num_edges());
     }
 
-    /// The h-hop collector agrees with exact BFS distances.
-    #[test]
-    fn khop_matches_bfs(g in arb_graph(24, 60), h in 1u32..4) {
-        let mut c = KhopCollector::new(g.num_nodes());
-        for u in g.nodes() {
-            let dist = bfs_distances(&g, u);
-            let mut expect: Vec<u32> = (0..g.num_nodes() as u32)
-                .filter(|&v| v != u.0 && dist[v as usize] <= h)
-                .collect();
-            expect.sort_unstable();
-            let mut got = Vec::new();
-            let n = c.for_each(&g, u, h, |v| got.push(v.0));
-            got.sort_unstable();
-            prop_assert_eq!(n, got.len());
-            prop_assert_eq!(got, expect);
-        }
-    }
-
     /// Snapshot round trip preserves the graph exactly.
     #[test]
     fn snapshot_round_trip(g in arb_graph(40, 150)) {
@@ -99,27 +80,4 @@ proptest! {
         let sum: usize = g.nodes().map(|u| g.degree(u)).sum();
         prop_assert_eq!(sum, 2 * g.num_edges());
     }
-}
-
-#[test]
-fn khop_collector_large_reuse_smoke() {
-    // A deterministic medium graph exercising buffer reuse at depth 3.
-    let mut b = GraphBuilder::undirected();
-    for i in 0u32..500 {
-        b.push_edge(i, (i + 1) % 500);
-        b.push_edge(i, (i * 7 + 3) % 500);
-    }
-    let g = b.build().unwrap();
-    let mut c = KhopCollector::new(g.num_nodes());
-    let mut total = 0usize;
-    for u in g.nodes() {
-        total += c.count(&g, u, 3);
-    }
-    assert!(total > 0);
-    // Re-running yields identical totals (collector state is clean).
-    let mut total2 = 0usize;
-    for u in g.nodes() {
-        total2 += c.count(&g, u, 3);
-    }
-    assert_eq!(total, total2);
 }

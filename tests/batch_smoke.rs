@@ -3,15 +3,19 @@
 //! the same plans, at thread counts {1, 2, 4} — and the one index
 //! build is charged to the batch, never to individual queries.
 //!
-//! This is the deterministic half of the `throughput-smoke` CI job:
-//! the wall-clock side lives in `lona-bench`'s throughput workload
-//! (`figures --throughput --check`), which gates on work counters
-//! for the same reason this test gates on exact results — neither
-//! can flake on a noisy or single-core runner.
+//! Batch mode is also held to a work budget: at one worker it may do
+//! at most 1.25x the work (edge accesses plus node visits) of a
+//! sequential planned loop, and exactly the same work on every run.
+//! Like exact results, work counters cannot flake on a noisy or
+//! single-core runner; wall-clock throughput is the benchmark's
+//! (`suite/`) analytic-batch workload.
 
 use std::time::Duration;
 
 use lona::prelude::*;
+
+mod common;
+use common::work_units;
 
 /// The fixed workload: smoke-scale collaboration network with a
 /// paper-style relevance mixture, both seeds pinned.
@@ -40,12 +44,12 @@ fn fixed_queries(n: usize) -> Vec<TopKQuery> {
 fn batch_is_bit_identical_to_sequential_loop() {
     let (g, scores) = fixed_workload();
     let queries = fixed_queries(g.num_nodes());
+    let batch: Vec<BatchQuery<'_>> = queries
+        .iter()
+        .map(|q| BatchQuery::new(*q, &scores))
+        .collect();
 
     for threads in [1usize, 2, 4] {
-        let batch: Vec<BatchQuery<'_>> = queries
-            .iter()
-            .map(|q| BatchQuery::new(*q, &scores))
-            .collect();
         let mut batch_engine = LonaEngine::new(&g, 2);
         let out = batch_engine.run_batch(&batch, &BatchOptions::with_threads(threads));
         assert_eq!(out.results.len(), queries.len());
@@ -64,6 +68,31 @@ fn batch_is_bit_identical_to_sequential_loop() {
             );
         }
     }
+
+    // Work budget: a one-worker batch does at most 1.25x the work of
+    // a sequential planned loop on a fresh engine, and the same work
+    // on every run.
+    let planned_work = || -> u64 {
+        let mut engine = LonaEngine::new(&g, 2);
+        let cfg = PlannerConfig::default();
+        queries
+            .iter()
+            .map(|q| work_units(&engine.run_planned(q, &scores, &cfg).1.stats))
+            .sum()
+    };
+    let batch_work = || {
+        let out = LonaEngine::new(&g, 2).run_batch(&batch, &BatchOptions::with_threads(1));
+        work_units(&out.stats)
+    };
+    let (sequential, batched) = (planned_work(), batch_work());
+    assert!(sequential > 0 && batched > 0);
+    assert!(
+        batched as f64 <= 1.25 * sequential as f64,
+        "one-worker batch did {:.3}x the sequential work ({batched} vs {sequential}), limit 1.25",
+        batched as f64 / sequential as f64
+    );
+    assert_eq!(planned_work(), sequential, "sequential work must reproduce");
+    assert_eq!(batch_work(), batched, "batch work must reproduce");
 }
 
 #[test]

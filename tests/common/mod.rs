@@ -1,7 +1,12 @@
-//! Helpers shared by the integration tests that stage files.
+//! Helpers shared by the integration tests.
+
+// Each test binary compiles this module and uses only part of it.
+#![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use lona::prelude::QueryStats;
 
 /// A fresh temp dir, unique to this call — pid plus a process-wide
 /// counter, since the tests of one binary run concurrently — and
@@ -28,4 +33,12 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Deterministic work units of one run: every adjacency entry touched
+/// plus every node visited by any phase. Exactly reproducible for a
+/// fixed seed, unlike wall time, so work budgets can gate CI.
+pub fn work_units(stats: &QueryStats) -> u64 {
+    stats.edges_traversed
+        + (stats.nodes_evaluated + stats.nodes_pruned + stats.nodes_distributed) as u64
 }

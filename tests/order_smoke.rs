@@ -118,6 +118,21 @@ fn ordered_container_recovers_order_and_permutation() {
             .expect("an ordered container carries its permutation");
         assert_eq!(perm.len(), c.csr().num_nodes(), "{name}");
     }
+
+    // A full Base scan's work is a graph property, not a numbering
+    // property: every container reports the natural one's counters.
+    let base_work = |name: &str| {
+        let c = CompiledGraph::load(std::path::Path::new(&packed[name])).unwrap();
+        let scores = c.scores().cloned().expect("embedded scores");
+        let state = c.engine_state(HOPS).expect("packed radius");
+        let query = TopKQuery::new(10, Aggregate::Sum);
+        let r = LonaEngine::from_state(&c, HOPS, state).run(&Algorithm::Base, &query, &scores);
+        (r.stats.edges_traversed, r.stats.nodes_evaluated)
+    };
+    let natural = base_work("natural");
+    for name in ["degree", "bfs"] {
+        assert_eq!(base_work(name), natural, "{name}: Base work counters moved");
+    }
 }
 
 #[test]

@@ -4,17 +4,24 @@
 //! after one warm-up request per hop radius, no served request is
 //! ever charged an index build (the resident state stays warm).
 //!
-//! This is the deterministic half of the `serve-smoke` CI job; the
-//! throughput side lives in `lona-bench`'s serve workload, which
-//! gates on work-counter ratios for the same reason this test gates
-//! on exact bytes — neither can flake on a noisy runner.
+//! Each reply's work counters must also equal those of its request
+//! run through `serve_algorithm` — the algorithm the server actually
+//! forces — on a resident engine, and a stats poll after the burst
+//! must report zero shed requests. Counters and bytes cannot flake on
+//! a noisy runner; wall-clock serving is the benchmark's (`suite/`)
+//! point-serve workload.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use lona::core::serve::{binary_scores, Reply, ServeClient, ServeOptions, Server};
+use lona::core::serve::{
+    binary_scores, serve_algorithm, Reply, ServeClient, ServeOptions, ServeStats, Server,
+};
 use lona::prelude::*;
+
+mod common;
+use common::work_units;
 
 const CLIENTS: usize = 32;
 const REQUESTS_PER_CLIENT: usize = 3;
@@ -84,11 +91,41 @@ fn sequential_reference(g: &CsrGraph) -> Vec<Vec<(u32, u64)>> {
         .collect()
 }
 
+/// What the server runs for each request: its [`serve_algorithm`]
+/// (the planner's choice with LONA-Backward lowered to BackwardNaive)
+/// at one worker on a resident engine.
+fn served_reference(g: &CsrGraph) -> Vec<QueryStats> {
+    let n = g.num_nodes();
+    let mut engine = LonaEngine::new(g, HOPS);
+    (0..CLIENTS * REQUESTS_PER_CLIENT)
+        .map(|idx| {
+            let (sources, k, aggregate, include_self) = request_spec(idx, n);
+            let scores = binary_scores(&sources, n);
+            let query = TopKQuery::new(k, aggregate).include_self(include_self);
+            let algorithm = serve_algorithm(&engine, &query, &scores);
+            engine.run(&algorithm, &query, &scores).stats
+        })
+        .collect()
+}
+
+/// The deterministic work counters of a reply.
+fn counters(stats: &ServeStats) -> [u64; 5] {
+    [
+        stats.nodes_evaluated,
+        stats.nodes_pruned,
+        stats.edges_traversed,
+        stats.nodes_distributed,
+        stats.exact_from_bound,
+    ]
+}
+
 #[test]
 fn concurrent_clients_are_bit_identical_to_sequential_loop() {
     let graph = Arc::new(fixed_workload());
     let n = graph.num_nodes();
     let expect = sequential_reference(&graph);
+    let served = served_reference(&graph);
+    let reference_work: u64 = served.iter().map(work_units).sum();
 
     for workers in [1usize, 4] {
         let mut server = Server::bind(
@@ -130,8 +167,8 @@ fn concurrent_clients_are_bit_identical_to_sequential_loop() {
             }
         }
 
-        // (request index, entry bits, index_build_nanos, batch_size)
-        type Observed = (usize, Vec<(u32, u64)>, u64, u32);
+        // (request index, entry bits, reply stats)
+        type Observed = (usize, Vec<(u32, u64)>, ServeStats);
         let collected: Vec<Observed> = thread::scope(|s| {
             let handles: Vec<_> = (0..CLIENTS)
                 .map(|client| {
@@ -151,8 +188,7 @@ fn concurrent_clients_are_bit_identical_to_sequential_loop() {
                                             .iter()
                                             .map(|&(u, v)| (u, v.to_bits()))
                                             .collect::<Vec<_>>(),
-                                        resp.stats.index_build_nanos,
-                                        resp.stats.batch_size,
+                                        resp.stats,
                                     ),
                                     Reply::Err { message, .. } => {
                                         panic!("request {idx} rejected: {message}")
@@ -170,17 +206,34 @@ fn concurrent_clients_are_bit_identical_to_sequential_loop() {
         });
 
         assert_eq!(collected.len(), CLIENTS * REQUESTS_PER_CLIENT);
-        for (idx, entries, index_build_nanos, batch_size) in &collected {
+        for (idx, entries, stats) in &collected {
             assert_eq!(
                 entries, &expect[*idx],
                 "workers={workers}: request {idx} diverged from the sequential loop"
             );
             assert_eq!(
-                *index_build_nanos, 0,
+                stats.index_build_nanos, 0,
                 "workers={workers}: request {idx} was charged an index build after warm-up"
             );
-            assert!(*batch_size >= 1, "batch_size must count the request itself");
+            assert!(
+                stats.batch_size >= 1,
+                "batch_size must count the request itself"
+            );
+            assert_eq!(
+                counters(stats),
+                counters(&ServeStats::from_query(&served[*idx])),
+                "workers={workers}: request {idx} did different work than its serve_algorithm run"
+            );
         }
+        let served_work: u64 = collected.iter().map(|(_, _, s)| s.work_units()).sum();
+        assert_eq!(
+            served_work, reference_work,
+            "workers={workers}: served work differs from the serve_algorithm reference"
+        );
+
+        // The default queue capacity dwarfs 32 clients: nothing sheds.
+        let report = warm.stats().unwrap();
+        assert_eq!(report.shed, 0, "workers={workers}: requests were shed");
 
         server.shutdown();
     }

@@ -4,20 +4,17 @@
 //!   for forced order-preserving algorithms (SUM/MAX), values to 1e-9
 //!   for planner-chosen runs and AVG — for every partition strategy
 //!   and shard count in {1, 2, 4, 8};
-//! * on a seeded skewed-score workload the TA coordinator provably
-//!   skips at least one shard re-query (asserted via the
-//!   deterministic coordinator counters, never wall clock);
-//! * on an id-locality graph the cross-shard work ratio stays within
-//!   the same 1.25 budget the `shard-smoke` CI job gates via
-//!   `figures --shards --check`.
+//! * on seeded skewed-score workloads the TA coordinator provably
+//!   skips at least one shard re-query at every multi-shard count
+//!   (asserted via the deterministic coordinator counters, never wall
+//!   clock);
+//! * on id-locality graphs the cross-shard work ratio of contiguous
+//!   partitions stays within a 1.25 budget at 1, 2, 4 and 8 shards.
 
 use lona::prelude::*;
 
-/// Deterministic work units of one run (mirrors the bench gate).
-fn work_units(stats: &QueryStats) -> u64 {
-    stats.edges_traversed
-        + (stats.nodes_evaluated + stats.nodes_pruned + stats.nodes_distributed) as u64
-}
+mod common;
+use common::work_units;
 
 /// The fixed paper-style workload: smoke-scale collaboration network
 /// with a relevance mixture, both seeds pinned.
@@ -52,6 +49,11 @@ fn sharded_equals_single_engine_on_fixed_seed() {
     for strategy in PartitionStrategy::ALL {
         for shards in [1usize, 2, 4, 8] {
             let sharded = partition(&g, shards, strategy, 2).unwrap();
+            if shards == 1 {
+                // One shard is the whole graph: no cut, no replicas.
+                assert_eq!(sharded.edge_cut(), 0, "{strategy}");
+                assert!((sharded.replication_factor() - 1.0).abs() < 1e-12);
+            }
             let mut engine = ShardedEngine::new(&sharded, 2);
             for (query, expect) in &cases {
                 let got = engine.run(query, &scores, &ShardOptions::default());
@@ -61,6 +63,9 @@ fn sharded_equals_single_engine_on_fixed_seed() {
                     query.aggregate,
                     query.k
                 );
+                if shards == 1 {
+                    assert_eq!(got.coordinator.requeries_skipped, 0, "{strategy}");
+                }
             }
         }
     }
@@ -138,53 +143,100 @@ fn ta_coordinator_skips_requeries_under_skew() {
             assert!(report.shard >= 1, "hot shard 0 wrongly skipped");
         }
     }
+
+    // 8 communities of 24 with scores 0.45^community, k = 12: every
+    // multi-shard contiguous partition must skip a re-query.
+    let g = lona::gen::generators::community_path(8, 24).unwrap();
+    let scores = ScoreVec::from_fn(g.num_nodes(), |u| 0.45f64.powi((u.0 / 24) as i32));
+    let query = TopKQuery::new(12, Aggregate::Sum);
+    let expect = LonaEngine::new(&g, 2).run(&Algorithm::forward(), &query, &scores);
+    let opts = ShardOptions::with_threads(1).force(Algorithm::forward());
+    for shards in [2usize, 4, 8] {
+        let sharded = partition(&g, shards, PartitionStrategy::Contiguous, 2).unwrap();
+        let got = ShardedEngine::new(&sharded, 2).run(&query, &scores, &opts);
+        assert!(
+            got.result.same_values(&expect, 1e-9),
+            "x{shards}: skew diverged"
+        );
+        assert!(
+            got.coordinator.requeries_skipped >= 1,
+            "x{shards}: TA rule skipped no shard re-query: {:?}",
+            got.coordinator
+        );
+        assert!(got.coordinator.edges_saved_estimate > 0.0, "x{shards}");
+    }
 }
 
 #[test]
 fn cross_shard_work_ratio_is_bounded_on_locality_graph() {
-    // Planner-chosen sparse mixture on the community graph: total
-    // shard work (all rounds) must stay within 1.25x of the single
-    // engine — the same deterministic budget `figures --shards
-    // --check` gates in CI.
-    let g = community_graph();
-    let scores = ScoreVec::from_fn(g.num_nodes(), |u| {
-        if u.0 % 16 == 0 {
-            (((u.0 * 31) % 13) + 1) as f64 / 13.0
-        } else {
-            0.0
-        }
-    });
-    let queries = [
-        TopKQuery::new(10, Aggregate::Sum),
-        TopKQuery::new(5, Aggregate::Avg),
-        TopKQuery::new(20, Aggregate::Sum),
+    // Planner-chosen sparse mixture on community graphs: total shard
+    // work (all rounds) of a contiguous partition must stay within
+    // 1.25x of the single engine's. Two inputs: 4 communities with 3
+    // queries at the default worker budget, and 8 communities with a
+    // 4-query mixture (MAX included) at one worker, where every shard
+    // count in {1, 2, 4, 8} is checked.
+    let mixture = |n: usize| {
+        ScoreVec::from_fn(n, |u| {
+            if u.0 % 16 == 0 {
+                (((u.0 * 31) % 13) + 1) as f64 / 13.0
+            } else {
+                0.0
+            }
+        })
+    };
+    let inputs = [
+        (
+            community_graph(),
+            vec![
+                TopKQuery::new(10, Aggregate::Sum),
+                TopKQuery::new(5, Aggregate::Avg),
+                TopKQuery::new(20, Aggregate::Sum),
+            ],
+            ShardOptions::default(),
+            vec![2usize, 4],
+        ),
+        (
+            lona::gen::generators::community_path(8, 24).unwrap(),
+            vec![
+                TopKQuery::new(10, Aggregate::Sum),
+                TopKQuery::new(5, Aggregate::Avg),
+                TopKQuery::new(20, Aggregate::Sum),
+                TopKQuery::new(10, Aggregate::Max),
+            ],
+            ShardOptions::with_threads(1),
+            vec![1usize, 2, 4, 8],
+        ),
     ];
 
-    let mut single_work = 0u64;
-    let mut single = LonaEngine::new(&g, 2);
-    let cfg = PlannerConfig::default();
-    let mut expect = Vec::new();
-    for q in &queries {
-        let (_, r) = single.run_planned(q, &scores, &cfg);
-        single_work += work_units(&r.stats);
-        expect.push(r);
-    }
-
-    for shards in [2usize, 4] {
-        let sharded = partition(&g, shards, PartitionStrategy::Contiguous, 2).unwrap();
-        let mut engine = ShardedEngine::new(&sharded, 2);
-        let mut work = 0u64;
-        for (q, exp) in queries.iter().zip(&expect) {
-            let got = engine.run(q, &scores, &ShardOptions::default());
-            assert!(got.result.same_values(exp, 1e-9));
-            work += work_units(&got.result.stats);
+    for (g, queries, opts, shard_counts) in &inputs {
+        let scores = mixture(g.num_nodes());
+        let mut single_work = 0u64;
+        let mut single = LonaEngine::new(g, 2);
+        let cfg = PlannerConfig::default();
+        let mut expect = Vec::new();
+        for q in queries {
+            let (_, r) = single.run_planned(q, &scores, &cfg);
+            single_work += work_units(&r.stats);
+            expect.push(r);
         }
-        let ratio = work as f64 / single_work as f64;
-        assert!(
-            ratio <= 1.25,
-            "x{shards}: cross-shard work ratio {ratio:.3} exceeds 1.25 \
-             ({work} vs {single_work})"
-        );
+
+        for &shards in shard_counts {
+            let sharded = partition(g, shards, PartitionStrategy::Contiguous, 2).unwrap();
+            let mut engine = ShardedEngine::new(&sharded, 2);
+            let mut work = 0u64;
+            for (q, exp) in queries.iter().zip(&expect) {
+                let got = engine.run(q, &scores, opts);
+                assert!(got.result.same_values(exp, 1e-9));
+                work += work_units(&got.result.stats);
+            }
+            let ratio = work as f64 / single_work as f64;
+            assert!(
+                ratio <= 1.25,
+                "{} nodes x{shards}: cross-shard work ratio {ratio:.3} exceeds 1.25 \
+                 ({work} vs {single_work})",
+                g.num_nodes()
+            );
+        }
     }
 }
 
@@ -193,16 +245,24 @@ fn work_counters_are_reproducible() {
     let g = community_graph();
     let scores = ScoreVec::from_fn(g.num_nodes(), |u| ((u.0 * 7) % 11) as f64 / 11.0);
     let query = TopKQuery::new(6, Aggregate::Sum);
-    let run = || {
-        let sharded = partition(&g, 4, PartitionStrategy::Contiguous, 2).unwrap();
-        let mut engine = ShardedEngine::new(&sharded, 2);
-        let out = engine.run(&query, &scores, &ShardOptions::default());
-        (
-            work_units(&out.result.stats),
-            out.coordinator.requeries_skipped,
-            out.coordinator.shards_requeried,
-            out.result.entries.clone(),
-        )
-    };
-    assert_eq!(run(), run(), "sharded execution must be deterministic");
+    for strategy in PartitionStrategy::ALL {
+        for shards in [1usize, 2, 4, 8] {
+            let run = || {
+                let sharded = partition(&g, shards, strategy, 2).unwrap();
+                let mut engine = ShardedEngine::new(&sharded, 2);
+                let out = engine.run(&query, &scores, &ShardOptions::default());
+                (
+                    work_units(&out.result.stats),
+                    out.coordinator.requeries_skipped,
+                    out.coordinator.shards_requeried,
+                    out.result.entries.clone(),
+                )
+            };
+            assert_eq!(
+                run(),
+                run(),
+                "{strategy} x{shards}: sharded execution must be deterministic"
+            );
+        }
+    }
 }

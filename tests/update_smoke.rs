@@ -7,10 +7,8 @@
 //! graph — with a repair report whose `rebuild_avoided_units` is
 //! strictly positive.
 //!
-//! This is the deterministic half of the `update-smoke` CI job; the
-//! wall-clock side lives in `lona-bench`'s updates workload, which
-//! gates on the same counters for the same reason this test gates on
-//! exact bytes — neither can flake on a noisy runner.
+//! Counters and bytes cannot flake on a noisy runner; repair wall
+//! clock is the benchmark's (`suite/`) update-mix workload.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
