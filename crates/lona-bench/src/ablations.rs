@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn every_ablation_runs_at_tiny_scale() {
         for name in ALL {
-            let report = run(name, 0.004, 3).unwrap();
+            let report = run(name, 0.002, 3).unwrap();
             assert!(report.starts_with('A'), "{name} report malformed: {report}");
             assert!(report.lines().count() >= 3, "{name} report too short");
             if name == "threads" {

@@ -197,13 +197,6 @@ pub enum Command {
         /// stay exact for any `hops <= halo`).
         halo: u32,
     },
-    /// `lona convert <edgelist> <snapshot>`
-    Convert {
-        /// Input edge-list path.
-        input: String,
-        /// Output binary snapshot path.
-        output: String,
-    },
     /// `lona serve <edgelist> [--addr A] [--threads N] [--window-us N]
     /// [--max-batch N] [--shards N [--strategy S] [--halo H]]
     /// [--register NAME=SCOREFILE]... [--queue-capacity N]
@@ -289,7 +282,6 @@ USAGE:
                 (query file: one `source-set/k/hops/aggregate` per line,
                  e.g. `3,17,29/10/2/sum`)
   lona shard    <edgelist> --shards N [--strategy contiguous|hash|degree] [--halo H]
-  lona convert  <edgelist> <snapshot>
   lona serve    <edgelist|compiled --compiled> [--addr HOST:PORT] [--threads N]
                 [--window-us N] [--max-batch N]
                 [--shards N [--strategy contiguous|hash|degree] [--halo H]]
@@ -301,95 +293,198 @@ USAGE:
   lona help
 ";
 
+/// One subcommand and every flag it reads. [`SUBCOMMANDS`] is the only
+/// list of them: [`Flags::split`] rejects any other `--flag`, and the
+/// parse arms read flags only through the [`Flags`] it returns.
+struct Spec {
+    name: &'static str,
+    /// Flags that take a value (`--k 5`).
+    values: &'static [&'static str],
+    /// Boolean flags (`--binary`), which take none.
+    switches: &'static [&'static str],
+}
+
+const SUBCOMMANDS: &[Spec] = &[
+    Spec {
+        name: "stats",
+        values: &[],
+        switches: &[],
+    },
+    Spec {
+        name: "generate",
+        values: &["--out", "--scale", "--seed"],
+        switches: &[],
+    },
+    Spec {
+        name: "compile",
+        values: &[
+            "--out",
+            "--scores",
+            "--blacking",
+            "--seed",
+            "--hops",
+            "--order",
+        ],
+        switches: &["--binary"],
+    },
+    Spec {
+        name: "update",
+        values: &["--out", "--hops", "--scores", "--scores-out"],
+        switches: &["--verify"],
+    },
+    Spec {
+        name: "compact",
+        values: &["--out", "--delta", "--hops"],
+        switches: &[],
+    },
+    Spec {
+        name: "topk",
+        values: &[
+            "--k",
+            "--hops",
+            "--aggregate",
+            "--algorithm",
+            "--threads",
+            "--scores",
+            "--blacking",
+            "--seed",
+            "--shards",
+            "--strategy",
+        ],
+        switches: &["--compiled", "--binary", "--exclude-self"],
+    },
+    Spec {
+        name: "batch",
+        values: &[
+            "--threads",
+            "--algorithm",
+            "--chunk",
+            "--shards",
+            "--strategy",
+        ],
+        switches: &["--compiled", "--sequential", "--exclude-self"],
+    },
+    Spec {
+        name: "shard",
+        values: &["--shards", "--strategy", "--halo"],
+        switches: &[],
+    },
+    Spec {
+        name: "serve",
+        values: &[
+            "--addr",
+            "--threads",
+            "--window-us",
+            "--max-batch",
+            "--shards",
+            "--strategy",
+            "--halo",
+            "--register",
+            "--queue-capacity",
+            "--max-connections",
+            "--io-timeout-ms",
+        ],
+        switches: &["--compiled"],
+    },
+    Spec {
+        name: "client",
+        values: &[],
+        switches: &["--exclude-self"],
+    },
+];
+
 /// Parse a full argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| USAGE.to_string())?;
+    if matches!(sub, "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let spec = SUBCOMMANDS
+        .iter()
+        .find(|spec| spec.name == sub)
+        .ok_or_else(|| format!("unknown subcommand `{sub}`\n\n{USAGE}"))?;
     let rest: Vec<&str> = it.collect();
+    let a = Flags::split(spec, &rest)?;
 
     match sub {
-        "help" | "--help" | "-h" => Ok(Command::Help),
         "stats" => {
-            let input = positional(&rest, 0, "edgelist path")?;
+            let input = a.positional(0, "edgelist path")?;
             Ok(Command::Stats { input })
         }
-        "convert" => {
-            let input = positional(&rest, 0, "edgelist path")?;
-            let output = positional(&rest, 1, "snapshot path")?;
-            Ok(Command::Convert { input, output })
-        }
         "compile" => {
-            let input = positional(&rest, 0, "edgelist path")?;
-            let out = flag_value(&rest, "--out")?.ok_or("compile requires --out FILE")?;
-            let hops = match flag_value(&rest, "--hops")? {
+            let input = a.positional(0, "edgelist path")?;
+            let out = a.value("--out").ok_or("compile requires --out FILE")?;
+            let hops = match a.value("--hops") {
                 None => vec![2],
                 Some(list) => parse_hops_list(&list)?,
             };
             Ok(Command::Compile {
                 input,
                 out,
-                scores: flag_value(&rest, "--scores")?,
-                blacking: parse_flag(&rest, "--blacking")?.unwrap_or(0.01),
-                binary: has_flag(&rest, "--binary"),
-                seed: parse_flag(&rest, "--seed")?.unwrap_or(42),
+                scores: a.value("--scores"),
+                blacking: a.parsed("--blacking")?.unwrap_or(0.01),
+                binary: a.has("--binary"),
+                seed: a.parsed("--seed")?.unwrap_or(42),
                 hops,
-                order: parse_flag(&rest, "--order")?.unwrap_or(NodeOrder::Natural),
+                order: a.parsed("--order")?.unwrap_or(NodeOrder::Natural),
             })
         }
         "update" => {
-            let input = positional(&rest, 0, "edgelist path")?;
-            let delta = positional(&rest, 1, "delta file path")?;
-            let hops = match flag_value(&rest, "--hops")? {
+            let input = a.positional(0, "edgelist path")?;
+            let delta = a.positional(1, "delta file path")?;
+            let hops = match a.value("--hops") {
                 None => vec![2],
                 Some(list) => parse_hops_list(&list)?,
             };
             Ok(Command::Update {
                 input,
                 delta,
-                out: flag_value(&rest, "--out")?,
+                out: a.value("--out"),
                 hops,
-                scores: flag_value(&rest, "--scores")?,
-                scores_out: flag_value(&rest, "--scores-out")?,
-                verify: has_flag(&rest, "--verify"),
+                scores: a.value("--scores"),
+                scores_out: a.value("--scores-out"),
+                verify: a.has("--verify"),
             })
         }
         "compact" => {
-            let input = positional(&rest, 0, "compiled file path")?;
-            let out = flag_value(&rest, "--out")?.ok_or("compact requires --out FILE")?;
-            let hops = match flag_value(&rest, "--hops")? {
+            let input = a.positional(0, "compiled file path")?;
+            let out = a.value("--out").ok_or("compact requires --out FILE")?;
+            let hops = match a.value("--hops") {
                 None => None,
                 Some(list) => Some(parse_hops_list(&list)?),
             };
             Ok(Command::Compact {
                 input,
                 out,
-                delta: flag_value(&rest, "--delta")?,
+                delta: a.value("--delta"),
                 hops,
             })
         }
         "serve" => {
-            let input = positional(&rest, 0, "edgelist path")?;
-            let max_batch: usize = parse_flag(&rest, "--max-batch")?.unwrap_or(64);
+            let input = a.positional(0, "edgelist path")?;
+            let max_batch: usize = a.parsed("--max-batch")?.unwrap_or(64);
             if max_batch == 0 {
                 return Err("--max-batch must be at least 1".into());
             }
-            let shards: usize = parse_flag(&rest, "--shards")?.unwrap_or(1);
+            let shards: usize = a.parsed("--shards")?.unwrap_or(1);
             if shards == 0 {
                 return Err("--shards must be at least 1".into());
             }
-            let halo: u32 = parse_flag(&rest, "--halo")?.unwrap_or(2);
+            let halo: u32 = a.parsed("--halo")?.unwrap_or(2);
             if halo == 0 {
                 return Err("--halo must be at least 1".into());
             }
-            let queue_capacity: usize = parse_flag(&rest, "--queue-capacity")?.unwrap_or(1024);
+            let queue_capacity: usize = a.parsed("--queue-capacity")?.unwrap_or(1024);
             if queue_capacity == 0 {
                 return Err("--queue-capacity must be at least 1".into());
             }
-            let max_connections: usize = parse_flag(&rest, "--max-connections")?.unwrap_or(1024);
+            let max_connections: usize = a.parsed("--max-connections")?.unwrap_or(1024);
             if max_connections == 0 {
                 return Err("--max-connections must be at least 1".into());
             }
-            let register = flag_values(&rest, "--register")?
+            let register = a
+                .values("--register")
                 .into_iter()
                 .map(|spec| match spec.split_once('=') {
                     Some((name, path)) if !name.trim().is_empty() && !path.trim().is_empty() => {
@@ -400,107 +495,118 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .collect::<Result<Vec<_>, String>>()?;
             Ok(Command::Serve {
                 input,
-                compiled: has_flag(&rest, "--compiled"),
-                addr: flag_value(&rest, "--addr")?.unwrap_or_else(|| "127.0.0.1:7878".into()),
-                threads: parse_flag(&rest, "--threads")?.unwrap_or(0),
-                window_us: parse_flag(&rest, "--window-us")?.unwrap_or(500),
+                compiled: a.has("--compiled"),
+                addr: a.value("--addr").unwrap_or_else(|| "127.0.0.1:7878".into()),
+                threads: a.parsed("--threads")?.unwrap_or(0),
+                window_us: a.parsed("--window-us")?.unwrap_or(500),
                 max_batch,
                 shards,
-                strategy: parse_flag(&rest, "--strategy")?.unwrap_or(PartitionStrategy::Contiguous),
+                strategy: a
+                    .parsed("--strategy")?
+                    .unwrap_or(PartitionStrategy::Contiguous),
                 halo,
                 register,
                 queue_capacity,
                 max_connections,
-                io_timeout_ms: parse_flag(&rest, "--io-timeout-ms")?.unwrap_or(30_000),
+                io_timeout_ms: a.parsed("--io-timeout-ms")?.unwrap_or(30_000),
             })
         }
         "client" => {
-            let addr = positional(&rest, 0, "server address")?;
-            let queries = positional(&rest, 1, "query file path")?;
+            let addr = a.positional(0, "server address")?;
+            let queries = a.positional(1, "query file path")?;
             Ok(Command::Client {
                 addr,
                 queries,
-                exclude_self: has_flag(&rest, "--exclude-self"),
+                exclude_self: a.has("--exclude-self"),
             })
         }
         "generate" => {
-            let kind: DatasetKind = positional(&rest, 0, "dataset kind")?.parse()?;
-            let out = flag_value(&rest, "--out")?.ok_or("generate requires --out FILE")?;
+            let kind: DatasetKind = a.positional(0, "dataset kind")?.parse()?;
+            let out = a.value("--out").ok_or("generate requires --out FILE")?;
             Ok(Command::Generate {
                 kind,
                 out,
-                scale: parse_flag(&rest, "--scale")?.unwrap_or(0.1),
-                seed: parse_flag(&rest, "--seed")?.unwrap_or(42),
+                scale: a.parsed("--scale")?.unwrap_or(0.1),
+                seed: a.parsed("--seed")?.unwrap_or(42),
             })
         }
         "batch" => {
-            let input = positional(&rest, 0, "edgelist path")?;
-            let queries = positional(&rest, 1, "query file path")?;
-            let chunk: usize = parse_flag(&rest, "--chunk")?.unwrap_or(1024);
+            let input = a.positional(0, "edgelist path")?;
+            let queries = a.positional(1, "query file path")?;
+            let chunk: usize = a.parsed("--chunk")?.unwrap_or(1024);
             if chunk == 0 {
                 return Err("--chunk must be at least 1".into());
             }
-            let shards: usize = parse_flag(&rest, "--shards")?.unwrap_or(1);
+            let shards: usize = a.parsed("--shards")?.unwrap_or(1);
             if shards == 0 {
                 return Err("--shards must be at least 1".into());
             }
             Ok(Command::Batch {
                 input,
-                compiled: has_flag(&rest, "--compiled"),
+                compiled: a.has("--compiled"),
                 queries,
-                threads: parse_flag(&rest, "--threads")?.unwrap_or(0),
-                algorithm: parse_flag(&rest, "--algorithm")?,
-                sequential: has_flag(&rest, "--sequential"),
+                threads: a.parsed("--threads")?.unwrap_or(0),
+                algorithm: a.parsed("--algorithm")?,
+                sequential: a.has("--sequential"),
                 chunk,
-                exclude_self: has_flag(&rest, "--exclude-self"),
+                exclude_self: a.has("--exclude-self"),
                 shards,
-                strategy: parse_flag(&rest, "--strategy")?.unwrap_or(PartitionStrategy::Contiguous),
+                strategy: a
+                    .parsed("--strategy")?
+                    .unwrap_or(PartitionStrategy::Contiguous),
             })
         }
         "shard" => {
-            let input = positional(&rest, 0, "edgelist path")?;
-            let shards: usize =
-                parse_flag(&rest, "--shards")?.ok_or("shard requires --shards N")?;
+            let input = a.positional(0, "edgelist path")?;
+            let shards: usize = a.parsed("--shards")?.ok_or("shard requires --shards N")?;
             if shards == 0 {
                 return Err("--shards must be at least 1".into());
             }
-            let halo: u32 = parse_flag(&rest, "--halo")?.unwrap_or(2);
+            let halo: u32 = a.parsed("--halo")?.unwrap_or(2);
             if halo == 0 {
                 return Err("--halo must be at least 1".into());
             }
             Ok(Command::Shard {
                 input,
                 shards,
-                strategy: parse_flag(&rest, "--strategy")?.unwrap_or(PartitionStrategy::Contiguous),
+                strategy: a
+                    .parsed("--strategy")?
+                    .unwrap_or(PartitionStrategy::Contiguous),
                 halo,
             })
         }
         "topk" => {
-            let input = positional(&rest, 0, "edgelist path")?;
-            let shards: usize = parse_flag(&rest, "--shards")?.unwrap_or(1);
+            let input = a.positional(0, "edgelist path")?;
+            let shards: usize = a.parsed("--shards")?.unwrap_or(1);
             if shards == 0 {
                 return Err("--shards must be at least 1".into());
             }
             Ok(Command::TopK {
                 input,
-                compiled: has_flag(&rest, "--compiled"),
-                k: parse_flag(&rest, "--k")?.unwrap_or(10),
-                hops: parse_flag(&rest, "--hops")?.unwrap_or(2),
-                aggregate: parse_flag(&rest, "--aggregate")?.unwrap_or(Aggregate::Sum),
-                algorithm: parse_flag(&rest, "--algorithm")?.unwrap_or(AlgorithmChoice::Backward),
-                scores: flag_value(&rest, "--scores")?,
-                blacking: parse_flag(&rest, "--blacking")?.unwrap_or(0.01),
-                binary: has_flag(&rest, "--binary"),
-                seed: parse_flag(&rest, "--seed")?.unwrap_or(42),
-                exclude_self: has_flag(&rest, "--exclude-self"),
+                compiled: a.has("--compiled"),
+                k: a.parsed("--k")?.unwrap_or(10),
+                hops: a.parsed("--hops")?.unwrap_or(2),
+                aggregate: a.parsed("--aggregate")?.unwrap_or(Aggregate::Sum),
+                algorithm: a
+                    .parsed("--algorithm")?
+                    .unwrap_or(AlgorithmChoice::Backward),
+                scores: a.value("--scores"),
+                blacking: a.parsed("--blacking")?.unwrap_or(0.01),
+                binary: a.has("--binary"),
+                seed: a.parsed("--seed")?.unwrap_or(42),
+                exclude_self: a.has("--exclude-self"),
                 // One worker keeps single-engine output byte-identical;
                 // a sharded run scatters on every core by default.
-                threads: parse_flag(&rest, "--threads")?.unwrap_or(if shards > 1 { 0 } else { 1 }),
+                threads: a
+                    .parsed("--threads")?
+                    .unwrap_or(if shards > 1 { 0 } else { 1 }),
                 shards,
-                strategy: parse_flag(&rest, "--strategy")?.unwrap_or(PartitionStrategy::Contiguous),
+                strategy: a
+                    .parsed("--strategy")?
+                    .unwrap_or(PartitionStrategy::Contiguous),
             })
         }
-        other => Err(format!("unknown subcommand `{other}`\n\n{USAGE}")),
+        other => unreachable!("`lona {other}` is in SUBCOMMANDS but has no parse arm"),
     }
 }
 
@@ -529,75 +635,91 @@ pub fn parse_hops_list(list: &str) -> Result<Vec<u32>, String> {
     Ok(hops)
 }
 
-/// The i-th non-flag argument.
-fn positional(rest: &[&str], index: usize, what: &str) -> Result<String, String> {
-    let mut seen = 0usize;
-    let mut i = 0;
-    while i < rest.len() {
-        let a = rest[i];
-        if a.starts_with("--") {
-            // Boolean flags take no value; skip the value of the rest.
-            if !matches!(
-                a,
-                "--binary" | "--exclude-self" | "--sequential" | "--compiled" | "--verify"
-            ) {
-                i += 1;
-            }
-        } else {
-            if seen == index {
-                return Ok(a.to_string());
-            }
-            seen += 1;
-        }
-        i += 1;
-    }
-    Err(format!("missing {what}"))
+/// A subcommand's arguments, split against its [`Spec`].
+struct Flags<'a> {
+    spec: &'static Spec,
+    positionals: Vec<&'a str>,
+    /// `(flag, value)` pairs in argument order.
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
-/// Raw value of `--flag`, if present.
-fn flag_value(rest: &[&str], flag: &str) -> Result<Option<String>, String> {
-    for (i, a) in rest.iter().enumerate() {
-        if *a == flag {
-            return rest
-                .get(i + 1)
-                .map(|v| Some(v.to_string()))
-                .ok_or_else(|| format!("{flag} requires a value"));
-        }
-    }
-    Ok(None)
-}
-
-/// Every value of a repeatable `--flag`, in argument order.
-fn flag_values(rest: &[&str], flag: &str) -> Result<Vec<String>, String> {
-    let mut values = Vec::new();
-    for (i, a) in rest.iter().enumerate() {
-        if *a == flag {
-            match rest.get(i + 1) {
-                Some(v) => values.push(v.to_string()),
-                None => return Err(format!("{flag} requires a value")),
+impl<'a> Flags<'a> {
+    /// Split `rest` into positionals and flags. Every `--flag` must be
+    /// one `spec` declares; a valued flag takes the next argument.
+    fn split(spec: &'static Spec, rest: &[&'a str]) -> Result<Self, String> {
+        let mut flags = Flags {
+            spec,
+            positionals: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = rest.iter().copied();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                flags.positionals.push(arg);
+            } else if spec.switches.contains(&arg) {
+                flags.switches.push(arg);
+            } else if spec.values.contains(&arg) {
+                let value = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
+                flags.values.push((arg, value));
+            } else {
+                return Err(format!("unknown flag `{arg}` for `lona {}`", spec.name));
             }
         }
+        Ok(flags)
     }
-    Ok(values)
-}
 
-/// Parsed value of `--flag`, if present.
-fn parse_flag<T: std::str::FromStr>(rest: &[&str], flag: &str) -> Result<Option<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match flag_value(rest, flag)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<T>()
-            .map(Some)
-            .map_err(|e| format!("bad {flag} `{v}`: {e}")),
+    /// The i-th non-flag argument.
+    fn positional(&self, index: usize, what: &str) -> Result<String, String> {
+        self.positionals
+            .get(index)
+            .map(|arg| arg.to_string())
+            .ok_or_else(|| format!("missing {what}"))
     }
-}
 
-/// Whether a boolean flag is present.
-fn has_flag(rest: &[&str], flag: &str) -> bool {
-    rest.contains(&flag)
+    /// Every value of a repeatable valued flag, in argument order.
+    fn values(&self, flag: &str) -> Vec<String> {
+        assert!(
+            self.spec.values.contains(&flag),
+            "`lona {}` does not declare {flag}",
+            self.spec.name
+        );
+        self.values
+            .iter()
+            .filter(|(f, _)| *f == flag)
+            .map(|(_, v)| v.to_string())
+            .collect()
+    }
+
+    /// Raw value of a valued flag, if present (the first, if repeated).
+    fn value(&self, flag: &str) -> Option<String> {
+        self.values(flag).into_iter().next()
+    }
+
+    /// Parsed value of a valued flag, if present.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(v) => v
+                .parse::<T>()
+                .map(Some)
+                .map_err(|e| format!("bad {flag} `{v}`: {e}")),
+        }
+    }
+
+    /// Whether a boolean flag is present.
+    fn has(&self, flag: &str) -> bool {
+        assert!(
+            self.spec.switches.contains(&flag),
+            "`lona {}` does not declare {flag}",
+            self.spec.name
+        );
+        self.switches.contains(&flag)
+    }
 }
 
 #[cfg(test)]
@@ -1003,6 +1125,69 @@ mod tests {
         assert!(parse(&v(&["topk", "g.txt", "--aggregate", "median"])).is_err());
         assert!(parse(&v(&["generate", "socialnet", "--out", "x"])).is_err());
         assert!(parse(&v(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_rejected() {
+        for (args, want) in [
+            (
+                &["topk", "g.el", "--kk", "2"][..],
+                "unknown flag `--kk` for `lona topk`",
+            ),
+            (
+                &["topk", "--verbose", "g.el"][..],
+                "unknown flag `--verbose` for `lona topk`",
+            ),
+            (
+                &["serve", "g.el", "--window", "100"][..],
+                "unknown flag `--window` for `lona serve`",
+            ),
+            // A flag of another subcommand is unknown here too.
+            (
+                &["stats", "g.el", "--k", "3"][..],
+                "unknown flag `--k` for `lona stats`",
+            ),
+        ] {
+            assert_eq!(parse(&v(args)).unwrap_err(), want, "{args:?}");
+        }
+        let err = parse(&v(&["convert", "a", "b"])).unwrap_err();
+        assert!(err.starts_with("unknown subcommand `convert`"), "{err}");
+    }
+
+    /// Each subcommand's USAGE entry names exactly the flags its
+    /// `SUBCOMMANDS` entry declares, and every entry has a parse arm.
+    #[test]
+    fn usage_names_exactly_the_declared_flags() {
+        let lines: Vec<&str> = USAGE.lines().collect();
+        for spec in SUBCOMMANDS {
+            let start = lines
+                .iter()
+                .position(|l| l.split_whitespace().take(2).eq(["lona", spec.name]))
+                .unwrap_or_else(|| panic!("USAGE has no `lona {}` entry", spec.name));
+            let entry: String = lines[start..]
+                .iter()
+                .enumerate()
+                .take_while(|(i, l)| *i == 0 || !l.trim_start().starts_with("lona "))
+                .map(|(_, l)| *l)
+                .collect();
+            let mut named: Vec<&str> = entry
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            named.sort_unstable();
+            named.dedup();
+            let mut declared: Vec<&str> =
+                spec.values.iter().chain(spec.switches).copied().collect();
+            declared.sort_unstable();
+            assert_eq!(named, declared, "lona {}", spec.name);
+            // Reaching the arm, not `unreachable!`, is the check here.
+            let _ = parse(&v(&[spec.name]));
+        }
+        assert_eq!(
+            lines.iter().filter(|l| l.starts_with("  lona ")).count(),
+            SUBCOMMANDS.len() + 1,
+            "one USAGE entry per subcommand, plus `lona help`"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ use lona_graph::algo::{
     clustering_coefficient, connected_components, core_decomposition, estimate_distances,
     DegreeStats,
 };
-use lona_graph::io::{read_edge_list, write_edge_list, write_snapshot, EdgeListOptions};
+use lona_graph::io::{read_edge_list, write_edge_list, EdgeListOptions};
 use lona_graph::partition::{partition, PartitionStrategy, ShardedGraph};
 use lona_graph::{
     CsrGraph, GraphBuilder, GraphDelta, GraphStore, NodeId, NodeOrder, OverlayGraph, Permutation,
@@ -82,7 +82,6 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
             };
             generate(&profile, out).map(Execution::done)
         }
-        Command::Convert { input, output } => convert(input, output).map(Execution::done),
         Command::Compile {
             input,
             out,
@@ -800,17 +799,6 @@ fn compact_cmd(
          {} order ({bytes} bytes)\n{applied_line}",
         reloaded.csr().num_edges(),
         reloaded.order(),
-    ))
-}
-
-fn convert(input: &str, output: &str) -> Result<String, String> {
-    let g = load_graph(input)?;
-    let file = File::create(output).map_err(|e| format!("cannot create {output}: {e}"))?;
-    write_snapshot(&g, BufWriter::new(file)).map_err(|e| format!("write failed: {e}"))?;
-    Ok(format!(
-        "{} nodes, {} edges -> binary snapshot {output}\n",
-        g.num_nodes(),
-        g.num_edges()
     ))
 }
 
@@ -1684,17 +1672,6 @@ mod tests {
     }
 
     #[test]
-    fn convert_emits_readable_snapshot() {
-        let p = tmp("conv_in.txt");
-        let q = tmp("conv_out.bin");
-        write_sample_graph(&p);
-        let out = convert(&p, &q).unwrap();
-        assert!(out.contains("binary snapshot"));
-        let g = lona_graph::io::read_snapshot(File::open(&q).unwrap()).unwrap();
-        assert_eq!(g.num_nodes(), 5);
-    }
-
-    #[test]
     fn topk_with_generated_scores() {
         let p = tmp("topk.txt");
         write_sample_graph(&p);
@@ -2087,15 +2064,13 @@ mod tests {
         };
         let (local, _) = batch_output(&local_lines, &g, &opts);
 
-        let server = Server::bind(
-            Arc::new(g),
-            "127.0.0.1:0",
-            ServeOptions {
+        let server = Server::builder(Arc::new(g))
+            .options(ServeOptions {
                 threads: 1,
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            })
+            .bind("127.0.0.1:0")
+            .unwrap();
         let addr = server.local_addr().to_string();
         let mut sink = Vec::new();
         let run = run_client_file(&addr, &q, true, &mut sink).unwrap();

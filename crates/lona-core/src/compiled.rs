@@ -760,58 +760,78 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_graph_scores_and_indexes() {
-        let g = sample();
-        let scores = ScoreVec::from_fn(g.num_nodes(), |u| (u.0 % 3) as f64 / 2.0);
-        let bytes = compile(&g, Some(&scores), &[1, 2]);
-        let c = CompiledGraph::from_bytes(bytes).unwrap();
+        let empty = GraphBuilder::undirected()
+            .with_num_nodes(0)
+            .build()
+            .unwrap();
+        for g in [sample(), empty] {
+            let scores = ScoreVec::from_fn(g.num_nodes(), |u| (u.0 % 3) as f64 / 2.0);
+            let bytes = compile(&g, Some(&scores), &[1, 2]);
+            let c = CompiledGraph::from_bytes(bytes).unwrap();
 
-        assert_eq!(c.graph().num_nodes(), g.num_nodes());
-        assert_eq!(c.graph().num_edges(), g.num_edges());
-        let mv = c.graph().csr();
-        for u in g.view().nodes() {
-            assert_eq!(mv.neighbors(u), g.neighbors(u));
-        }
-        assert_eq!(c.scores().unwrap().as_slice(), scores.as_slice());
-        assert_eq!(c.hops_list(), vec![1, 2]);
+            assert_eq!(c.graph().num_nodes(), g.num_nodes());
+            assert_eq!(c.graph().num_edges(), g.num_edges());
+            let mv = c.graph().csr();
+            for u in g.view().nodes() {
+                assert_eq!(mv.neighbors(u), g.neighbors(u));
+            }
+            assert_eq!(c.scores().unwrap().as_slice(), scores.as_slice());
+            assert_eq!(c.hops_list(), vec![1, 2]);
 
-        for h in [1u32, 2] {
-            let state = c.engine_state(h).unwrap();
-            let want_size = SizeIndex::build(g.view(), h);
-            assert_eq!(state.size_index().unwrap(), &want_size);
-            let want_diff = DiffIndex::build(g.view(), h, &want_size);
-            assert_eq!(state.diff_index().unwrap(), &want_diff);
-            assert_eq!(state.index_builds(), 0);
+            for h in [1u32, 2] {
+                let state = c.engine_state(h).unwrap();
+                let want_size = SizeIndex::build(g.view(), h);
+                assert_eq!(state.size_index().unwrap(), &want_size);
+                let want_diff = DiffIndex::build(g.view(), h, &want_size);
+                assert_eq!(state.diff_index().unwrap(), &want_diff);
+                assert_eq!(state.index_builds(), 0);
+            }
+            assert!(c.engine_state(3).is_none());
         }
-        assert!(c.engine_state(3).is_none());
     }
 
     #[test]
     fn directed_graph_packs_reverse_csr_and_no_diff() {
-        let g = GraphBuilder::directed()
+        let unweighted = GraphBuilder::directed()
             .extend_edges([(0, 1), (0, 2), (1, 2), (2, 0)])
             .build()
             .unwrap();
-        let bytes = compile_to_vec(&CompileSpec {
-            graph: g.view(),
-            scores: None,
-            hops: &[2],
-            with_diff: true, // ignored on directed graphs
-            order: NodeOrder::Natural,
-        })
-        .unwrap();
-        let c = CompiledGraph::from_bytes(bytes).unwrap();
-        assert!(c.graph().is_directed());
-        let rev = c
-            .graph()
-            .reverse_csr()
-            .expect("directed pack carries reverse CSR");
-        // Incoming edges of node 2 are from 0 and 1.
-        assert_eq!(rev.neighbors(NodeId(2)), &[NodeId(0), NodeId(1)]);
-        let (size, diff) = (
-            c.engine_state(2).unwrap().size_index().is_some(),
-            c.engine_state(2).unwrap().diff_index().is_some(),
-        );
-        assert!(size && !diff);
+        let weighted = GraphBuilder::directed()
+            .add_weighted_edge(0, 1, 0.25)
+            .add_weighted_edge(2, 0, -1.5)
+            .build()
+            .unwrap();
+        // (graph, a node, that node's incoming neighbours)
+        for (g, v, incoming) in [
+            (unweighted, NodeId(2), [NodeId(0), NodeId(1)].as_slice()),
+            (weighted, NodeId(0), [NodeId(2)].as_slice()),
+        ] {
+            let bytes = compile_to_vec(&CompileSpec {
+                graph: g.view(),
+                scores: None,
+                hops: &[2],
+                with_diff: true, // ignored on directed graphs
+                order: NodeOrder::Natural,
+            })
+            .unwrap();
+            let c = CompiledGraph::from_bytes(bytes).unwrap();
+            assert!(c.graph().is_directed());
+            let mv = c.graph().csr();
+            for u in g.view().nodes() {
+                assert_eq!(mv.neighbors(u), g.neighbors(u));
+                assert_eq!(mv.neighbor_weights(u), g.neighbor_weights(u));
+            }
+            let rev = c
+                .graph()
+                .reverse_csr()
+                .expect("directed pack carries reverse CSR");
+            assert_eq!(rev.neighbors(v), incoming);
+            let (size, diff) = (
+                c.engine_state(2).unwrap().size_index().is_some(),
+                c.engine_state(2).unwrap().diff_index().is_some(),
+            );
+            assert!(size && !diff);
+        }
     }
 
     #[test]

@@ -711,21 +711,4 @@ mod tests {
         let g = ring(5);
         let _ = LonaEngine::new(&g, 0);
     }
-
-    #[test]
-    fn set_index_roundtrip() {
-        let g = ring(12);
-        let mut a = LonaEngine::new(&g, 2);
-        a.prepare_diff_index();
-
-        let mut size_buf = Vec::new();
-        a.size_index().unwrap().write_to(&mut size_buf).unwrap();
-        let mut diff_buf = Vec::new();
-        a.diff_index().unwrap().write_to(&mut diff_buf).unwrap();
-
-        let mut b = LonaEngine::new(&g, 2);
-        b.set_size_index(SizeIndex::read_from(&size_buf[..]).unwrap());
-        b.set_diff_index(DiffIndex::read_from(&diff_buf[..]).unwrap());
-        assert_eq!(b.prepare_diff_index(), Duration::ZERO);
-    }
 }

@@ -1,15 +1,12 @@
 //! The differential index `delta(v − u) = |S_h(v) \ S_h(u)|`.
 
-use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use lona_graph::{CsrView, GraphError, MapSlice, NodeId};
+use lona_graph::{CsrView, MapSlice, NodeId};
 
 use crate::exec::{self, ChunkCursor};
 use crate::index::{SizeIndex, U32Store};
 use crate::neighborhood::NeighborhoodScanner;
-
-const MAGIC: &[u8; 8] = b"LONADIF1";
 
 /// Per-edge differential index (paper §III).
 ///
@@ -192,43 +189,6 @@ impl DiffIndex {
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.as_slice())
     }
-
-    /// Serialize.
-    pub fn write_to<W: Write>(&self, mut w: W) -> lona_graph::Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&self.hops.to_le_bytes())?;
-        w.write_all(&(self.as_slice().len() as u64).to_le_bytes())?;
-        let mut buf = Vec::with_capacity(4 * 16384);
-        for chunk in self.as_slice().chunks(16384) {
-            buf.clear();
-            for &d in chunk {
-                buf.extend_from_slice(&d.to_le_bytes());
-            }
-            w.write_all(&buf)?;
-        }
-        Ok(())
-    }
-
-    /// Deserialize.
-    pub fn read_from<R: Read>(mut r: R) -> lona_graph::Result<Self> {
-        let mut header = [0u8; 8 + 4 + 8];
-        r.read_exact(&mut header).map_err(GraphError::Io)?;
-        if &header[..8] != MAGIC {
-            return Err(GraphError::BadSnapshot("bad diff-index magic".into()));
-        }
-        let hops = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let len = u64::from_le_bytes(header[12..20].try_into().unwrap()) as usize;
-        let mut raw = vec![0u8; len * 4];
-        r.read_exact(&mut raw).map_err(GraphError::Io)?;
-        let deltas = raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(DiffIndex {
-            hops,
-            deltas: U32Store::Owned(deltas),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -294,19 +254,6 @@ mod tests {
             .unwrap();
         check_graph(&g, 1);
         check_graph(&g, 2);
-    }
-
-    #[test]
-    fn round_trip() {
-        let g = GraphBuilder::undirected()
-            .extend_edges([(0, 1), (1, 2), (2, 0)])
-            .build()
-            .unwrap();
-        let sizes = SizeIndex::build(g.view(), 2);
-        let idx = DiffIndex::build(g.view(), 2, &sizes);
-        let mut buf = Vec::new();
-        idx.write_to(&mut buf).unwrap();
-        assert_eq!(DiffIndex::read_from(&buf[..]).unwrap(), idx);
     }
 
     #[test]

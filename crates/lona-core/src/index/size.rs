@@ -1,14 +1,10 @@
 //! The h-hop neighborhood-size index `N(v)`.
 
-use std::io::{Read, Write};
-
-use lona_graph::{CsrView, GraphError, MapSlice, NodeId};
+use lona_graph::{CsrView, MapSlice, NodeId};
 
 use crate::exec;
 use crate::index::U32Store;
 use crate::neighborhood::NeighborhoodScanner;
-
-const MAGIC: &[u8; 8] = b"LONASIZ1";
 
 /// `N(v) = |S_h(v)|` for every node, at a fixed hop radius.
 ///
@@ -101,43 +97,6 @@ impl SizeIndex {
     pub fn as_slice(&self) -> &[u32] {
         self.sizes.as_slice()
     }
-
-    /// Serialize (see `io::binary` for the format conventions).
-    pub fn write_to<W: Write>(&self, mut w: W) -> lona_graph::Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&self.hops.to_le_bytes())?;
-        w.write_all(&(self.as_slice().len() as u64).to_le_bytes())?;
-        let mut buf = Vec::with_capacity(4 * 16384);
-        for chunk in self.as_slice().chunks(16384) {
-            buf.clear();
-            for &s in chunk {
-                buf.extend_from_slice(&s.to_le_bytes());
-            }
-            w.write_all(&buf)?;
-        }
-        Ok(())
-    }
-
-    /// Deserialize.
-    pub fn read_from<R: Read>(mut r: R) -> lona_graph::Result<Self> {
-        let mut header = [0u8; 8 + 4 + 8];
-        r.read_exact(&mut header).map_err(GraphError::Io)?;
-        if &header[..8] != MAGIC {
-            return Err(GraphError::BadSnapshot("bad size-index magic".into()));
-        }
-        let hops = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        let len = u64::from_le_bytes(header[12..20].try_into().unwrap()) as usize;
-        let mut raw = vec![0u8; len * 4];
-        r.read_exact(&mut raw).map_err(GraphError::Io)?;
-        let sizes = raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(SizeIndex {
-            hops,
-            sizes: U32Store::Owned(sizes),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -178,29 +137,6 @@ mod tests {
         let g = b.build().unwrap();
         let idx = SizeIndex::build(g.view(), 2);
         assert_eq!(idx.as_slice(), &reference_sizes(&g, 2)[..]);
-    }
-
-    #[test]
-    fn round_trip() {
-        let g = GraphBuilder::undirected()
-            .extend_edges([(0, 1), (1, 2)])
-            .build()
-            .unwrap();
-        let idx = SizeIndex::build(g.view(), 2);
-        let mut buf = Vec::new();
-        idx.write_to(&mut buf).unwrap();
-        let idx2 = SizeIndex::read_from(&buf[..]).unwrap();
-        assert_eq!(idx, idx2);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let g = GraphBuilder::undirected().add_edge(0, 1).build().unwrap();
-        let idx = SizeIndex::build(g.view(), 1);
-        let mut buf = Vec::new();
-        idx.write_to(&mut buf).unwrap();
-        buf[0] ^= 0xff;
-        assert!(SizeIndex::read_from(&buf[..]).is_err());
     }
 
     #[test]

@@ -459,30 +459,6 @@ impl Server {
         }
     }
 
-    /// Bind `addr` and serve `graph` with `opts` (single-engine
-    /// backend, no registry). Equivalent to
-    /// `Server::builder(graph).options(opts).bind(addr)`.
-    pub fn bind<G: GraphStore + Send + Sync + 'static>(
-        graph: Arc<G>,
-        addr: impl ToSocketAddrs,
-        opts: ServeOptions,
-    ) -> io::Result<Server> {
-        Server::builder(graph).options(opts).bind(addr)
-    }
-
-    /// Like [`Server::bind`], but seed the batcher with pre-built
-    /// per-hop-radius engine states. A server started from a compiled
-    /// file passes the mapped indexes here and answers its first
-    /// request with zero index builds.
-    pub fn bind_warm<G: GraphStore + Send + Sync + 'static>(
-        graph: Arc<G>,
-        addr: impl ToSocketAddrs,
-        opts: ServeOptions,
-        warm: BTreeMap<u32, EngineState>,
-    ) -> io::Result<Server> {
-        Server::builder(graph).options(opts).warm(warm).bind(addr)
-    }
-
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr

@@ -132,13 +132,19 @@ fn run_bits(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// compile → from_bytes → query answers bit-identically to the
-    /// in-RAM graph under every sequential algorithm, and the mapped
-    /// engine performs zero index builds.
+    /// compile → from_bytes returns the graph row for row, and queries
+    /// answer bit-identically to the in-RAM graph under every
+    /// sequential algorithm, with zero index builds on the mapped engine.
     #[test]
     fn compiled_queries_are_bit_identical(case in arb_case()) {
         let bytes = compile_case(&case);
         let c = CompiledGraph::from_bytes(bytes).unwrap();
+        let view = c.csr();
+        prop_assert_eq!(view.num_nodes(), case.g.num_nodes());
+        prop_assert_eq!(view.num_edges(), case.g.num_edges());
+        for u in case.g.nodes() {
+            prop_assert_eq!(view.neighbors(u), case.g.neighbors(u));
+        }
         prop_assert_eq!(c.scores().unwrap().as_slice(), case.scores.as_slice());
 
         let mut ram = LonaEngine::new(&case.g, case.h);

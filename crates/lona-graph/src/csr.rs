@@ -233,8 +233,9 @@ impl<'a> CsrView<'a> {
 
 impl CsrGraph {
     /// Assemble a CSR graph from raw parts. Used by [`crate::GraphBuilder`]
-    /// and the binary snapshot loader; invariants are checked with
-    /// debug assertions (the callers validate eagerly).
+    /// and the crate's other constructors (reorder, overlay compaction,
+    /// partitioning, mapped-to-owned copies); invariants are checked
+    /// with debug assertions (the callers validate eagerly).
     pub(crate) fn from_parts(
         offsets: Vec<u32>,
         targets: Vec<NodeId>,
@@ -372,11 +373,6 @@ impl CsrGraph {
     /// Approximate resident memory of the structure, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.view().memory_bytes()
-    }
-
-    /// Internal accessor for snapshot serialization.
-    pub(crate) fn raw_parts(&self) -> (&[u32], &[NodeId], Option<&[f32]>) {
-        (&self.offsets, &self.targets, self.weights.as_deref())
     }
 }
 

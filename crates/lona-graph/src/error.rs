@@ -27,7 +27,9 @@ pub enum GraphError {
         /// Human-readable description.
         msg: String,
     },
-    /// A binary snapshot had a bad magic number, version or length.
+    /// A compiled container, or a node permutation or score section
+    /// read from one, failed validation: bad magic, version, length,
+    /// checksum or structure.
     BadSnapshot(String),
 }
 

@@ -1,8 +1,6 @@
-//! Graph serialization: whitespace edge-list text and a compact
-//! binary snapshot.
+//! Graph serialization: the whitespace edge-list text format. The one
+//! binary format is the compiled container in `lona_core::compiled`.
 
-mod binary;
 mod edgelist;
 
-pub use binary::{read_snapshot, write_snapshot};
 pub use edgelist::{read_edge_list, write_edge_list, EdgeListOptions};

@@ -16,8 +16,9 @@
 //!   sets back the h-hop scanner at the heart of every LONA algorithm.
 //! * [`algo`] — connected components, degree statistics, triangle
 //!   counting and distance sampling used to characterize datasets.
-//! * [`io`] — whitespace edge-list text format and a compact binary
-//!   snapshot format.
+//! * [`io`] — the whitespace edge-list text format. The one binary
+//!   format is `lona-core`'s compiled container, read back through
+//!   [`CsrGraphMmap`].
 //! * [`mod@partition`] — edge-cut sharding with halo replication, the
 //!   storage layer of the scatter-gather engine.
 //! * [`mod@order`] — cache-locality node renumbering (degree/BFS

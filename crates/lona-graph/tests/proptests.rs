@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use lona_graph::io::{read_snapshot, write_snapshot};
 use lona_graph::{CsrGraph, GraphBuilder};
 
 /// Strategy: a random simple undirected graph with up to `n` nodes.
@@ -45,19 +44,6 @@ proptest! {
         prop_assert_eq!(entries, g.num_adjacency_entries());
         prop_assert_eq!(entries, 2 * g.num_edges());
         prop_assert_eq!(g.edges().count(), g.num_edges());
-    }
-
-    /// Snapshot round trip preserves the graph exactly.
-    #[test]
-    fn snapshot_round_trip(g in arb_graph(40, 150)) {
-        let mut buf = Vec::new();
-        write_snapshot(&g, &mut buf).unwrap();
-        let g2 = read_snapshot(&buf[..]).unwrap();
-        prop_assert_eq!(g2.num_nodes(), g.num_nodes());
-        prop_assert_eq!(g2.num_edges(), g.num_edges());
-        for u in g.nodes() {
-            prop_assert_eq!(g.neighbors(u), g2.neighbors(u));
-        }
     }
 
     /// Builder is idempotent: rebuilding from the emitted edge list

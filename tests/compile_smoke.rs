@@ -198,17 +198,15 @@ fn compiled_server_never_builds_an_index() {
     let warm = c.warm_states();
     assert_eq!(warm.keys().copied().collect::<Vec<_>>(), vec![1, HOPS]);
 
-    let mut server = Server::bind_warm(
-        Arc::new(c),
-        "127.0.0.1:0",
-        ServeOptions {
+    let mut server = Server::builder(Arc::new(c))
+        .options(ServeOptions {
             threads: 2,
             window: Duration::from_millis(1),
             ..Default::default()
-        },
-        warm,
-    )
-    .expect("bind server");
+        })
+        .warm(warm)
+        .bind("127.0.0.1:0")
+        .expect("bind server");
     let addr = server.local_addr();
 
     let mut client = ServeClient::connect(addr).open().expect("connect");

@@ -128,16 +128,14 @@ fn concurrent_clients_are_bit_identical_to_sequential_loop() {
     let reference_work: u64 = served.iter().map(work_units).sum();
 
     for workers in [1usize, 4] {
-        let mut server = Server::bind(
-            Arc::clone(&graph),
-            "127.0.0.1:0",
-            ServeOptions {
+        let mut server = Server::builder(Arc::clone(&graph))
+            .options(ServeOptions {
                 threads: workers,
                 window: Duration::from_millis(2),
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            })
+            .bind("127.0.0.1:0")
+            .unwrap();
         let addr = server.local_addr();
 
         // Warm-up: run the full mix once over a single connection so
@@ -246,15 +244,13 @@ fn concurrent_clients_are_bit_identical_to_sequential_loop() {
 fn invalid_requests_are_rejected_without_killing_the_connection() {
     let graph = Arc::new(fixed_workload());
     let n = graph.num_nodes() as u32;
-    let mut server = Server::bind(
-        Arc::clone(&graph),
-        "127.0.0.1:0",
-        ServeOptions {
+    let mut server = Server::builder(Arc::clone(&graph))
+        .options(ServeOptions {
             threads: 1,
             ..Default::default()
-        },
-    )
-    .unwrap();
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
     let mut conn = ServeClient::connect(server.local_addr()).open().unwrap();
 
     for (sources, k, hops, needle) in [

@@ -337,15 +337,13 @@ fn sharded_backend_is_byte_identical_to_single_engine_on_mixed_workload() {
 #[test]
 fn hostile_frames_are_counted_and_do_not_kill_siblings() {
     let graph = Arc::new(fixed_workload());
-    let mut server = Server::bind(
-        Arc::clone(&graph),
-        "127.0.0.1:0",
-        ServeOptions {
+    let mut server = Server::builder(Arc::clone(&graph))
+        .options(ServeOptions {
             threads: 1,
             ..Default::default()
-        },
-    )
-    .unwrap();
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
     let addr = server.local_addr();
 
     let mut sibling = ServeClient::connect(addr).open().unwrap();
@@ -420,15 +418,13 @@ fn hostile_frames_are_counted_and_do_not_kill_siblings() {
 #[test]
 fn v1_golden_frame_bytes_get_correct_v1_replies() {
     let graph = Arc::new(fixed_workload());
-    let mut server = Server::bind(
-        Arc::clone(&graph),
-        "127.0.0.1:0",
-        ServeOptions {
+    let mut server = Server::builder(Arc::clone(&graph))
+        .options(ServeOptions {
             threads: 1,
             ..Default::default()
-        },
-    )
-    .unwrap();
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
     let addr = server.local_addr();
 
     // request id=7, k=3, hops=2, SUM, include_self, sources {1, 2} —
@@ -521,16 +517,14 @@ fn v1_golden_frame_bytes_get_correct_v1_replies() {
 #[test]
 fn connection_limit_rejects_with_busy_and_frees_on_close() {
     let graph = Arc::new(fixed_workload());
-    let mut server = Server::bind(
-        Arc::clone(&graph),
-        "127.0.0.1:0",
-        ServeOptions {
+    let mut server = Server::builder(Arc::clone(&graph))
+        .options(ServeOptions {
             threads: 1,
             max_connections: 1,
             ..Default::default()
-        },
-    )
-    .unwrap();
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
     let addr = server.local_addr();
 
     let mut first = ServeClient::connect(addr).open().unwrap();
@@ -594,16 +588,14 @@ fn connection_limit_rejects_with_busy_and_frees_on_close() {
 #[test]
 fn shutdown_drains_without_hanging_or_corrupting_replies() {
     let graph = Arc::new(fixed_workload());
-    let mut server = Server::bind(
-        Arc::clone(&graph),
-        "127.0.0.1:0",
-        ServeOptions {
+    let mut server = Server::builder(Arc::clone(&graph))
+        .options(ServeOptions {
             threads: 1,
             window: Duration::from_millis(1),
             ..Default::default()
-        },
-    )
-    .unwrap();
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
     let addr = server.local_addr();
 
     // Reference bytes for the one query shape the in-flight clients

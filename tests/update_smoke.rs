@@ -188,17 +188,15 @@ fn live_server_applies_update_between_batches() {
     states.insert(HOPS, warm);
 
     let graph = Arc::new(g.clone());
-    let mut server = Server::bind_warm(
-        graph,
-        "127.0.0.1:0",
-        ServeOptions {
+    let mut server = Server::builder(graph)
+        .options(ServeOptions {
             threads: 2,
             window: Duration::from_millis(1),
             ..Default::default()
-        },
-        states,
-    )
-    .expect("bind server");
+        })
+        .warm(states)
+        .bind("127.0.0.1:0")
+        .expect("bind server");
     let addr = server.local_addr();
     let mut client = ServeClient::connect(addr)
         .retries(3)
