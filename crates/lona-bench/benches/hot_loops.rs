@@ -95,52 +95,6 @@ fn scans(c: &mut Criterion) {
     }
 }
 
-/// Natural vs. degree-/BFS-reordered sum scans over the *same*
-/// sampled nodes (mapped through the permutation, scores permuted to
-/// match). Work counters are identical by construction — see
-/// `order_props::reordered_matches_natural` — so any delta here is
-/// pure memory layout: the per-edge cost the reordering exists to
-/// shrink.
-fn reordered_scans(c: &mut Criterion) {
-    let (g, _compiled, scores) = backends();
-    let nodes = sample_nodes(g.num_nodes() as u32);
-
-    let mut group = c.benchmark_group("sum_scan_order");
-    configure(&mut group);
-    {
-        let view = g.view();
-        let f = scores.as_slice();
-        let mut scanner = lona_core::neighborhood::NeighborhoodScanner::new(g.num_nodes());
-        group.bench_function(BenchmarkId::new("natural", SAMPLE), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &u in &nodes {
-                    acc += scanner.sum_scan(view, u, HOPS, f).mass;
-                }
-                criterion::black_box(acc)
-            })
-        });
-    }
-    for order in [NodeOrder::Degree, NodeOrder::Bfs] {
-        let (rg, perm) = g.reordered(order);
-        let permuted = lona_core::locality::permute_scores(&perm, &scores);
-        let mapped: Vec<NodeId> = nodes.iter().map(|&u| perm.to_new(u)).collect();
-        let view = rg.view();
-        let f = permuted.as_slice();
-        let mut scanner = lona_core::neighborhood::NeighborhoodScanner::new(rg.num_nodes());
-        group.bench_function(BenchmarkId::new(order.name(), SAMPLE), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &u in &mapped {
-                    acc += scanner.sum_scan(view, u, HOPS, f).mass;
-                }
-                criterion::black_box(acc)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn index_builds(c: &mut Criterion) {
     let (g, compiled, _scores) = backends();
 
@@ -164,5 +118,5 @@ fn index_builds(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(hot_loops, scans, reordered_scans, index_builds);
+criterion_group!(hot_loops, scans, index_builds);
 criterion_main!(hot_loops);

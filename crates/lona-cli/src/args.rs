@@ -2,7 +2,7 @@
 
 use lona_core::Aggregate;
 use lona_gen::DatasetKind;
-use lona_graph::{NodeOrder, PartitionStrategy};
+use lona_graph::PartitionStrategy;
 
 /// Which algorithm the `topk` subcommand should run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -74,8 +74,6 @@ pub enum Command {
         seed: u64,
         /// Hop radii to pre-build indexes for (default `[2]`).
         hops: Vec<u32>,
-        /// Node order to pack the container in (default natural).
-        order: NodeOrder,
     },
     /// `lona update <edgelist> <deltafile> [--out FILE]
     /// [--hops H1,H2,...] [--scores FILE] [--scores-out FILE]
@@ -263,7 +261,7 @@ USAGE:
                  `lona serve` for counters and latency percentiles)
   lona generate <collaboration|citation|intrusion> --out FILE [--scale S] [--seed N]
   lona compile  <edgelist> --out FILE [--scores FILE | --blacking R [--binary]]
-                [--seed N] [--hops H1,H2,...] [--order natural|degree|bfs]
+                [--seed N] [--hops H1,H2,...]
   lona update   <edgelist> <deltafile> [--out FILE] [--hops H1,H2,...]
                 [--scores FILE [--scores-out FILE]] [--verify]
                 (delta lines: `add u v [w]`, `del u v`, `score u x`;
@@ -293,11 +291,15 @@ USAGE:
   lona help
 ";
 
-/// One subcommand and every flag it reads. [`SUBCOMMANDS`] is the only
-/// list of them: [`Flags::split`] rejects any other `--flag`, and the
-/// parse arms read flags only through the [`Flags`] it returns.
+/// One subcommand and every argument it reads. [`SUBCOMMANDS`] is the
+/// only list of them: [`Flags::split`] rejects any other `--flag` and
+/// any surplus or missing positional, and the parse arms read
+/// arguments only through the [`Flags`] it returns.
 struct Spec {
     name: &'static str,
+    /// What each positional argument is, in order (the "missing …"
+    /// message names it).
+    positionals: &'static [&'static str],
     /// Flags that take a value (`--k 5`).
     values: &'static [&'static str],
     /// Boolean flags (`--binary`), which take none.
@@ -307,38 +309,37 @@ struct Spec {
 const SUBCOMMANDS: &[Spec] = &[
     Spec {
         name: "stats",
+        positionals: &["edgelist path"],
         values: &[],
         switches: &[],
     },
     Spec {
         name: "generate",
+        positionals: &["dataset kind"],
         values: &["--out", "--scale", "--seed"],
         switches: &[],
     },
     Spec {
         name: "compile",
-        values: &[
-            "--out",
-            "--scores",
-            "--blacking",
-            "--seed",
-            "--hops",
-            "--order",
-        ],
+        positionals: &["edgelist path"],
+        values: &["--out", "--scores", "--blacking", "--seed", "--hops"],
         switches: &["--binary"],
     },
     Spec {
         name: "update",
+        positionals: &["edgelist path", "delta file path"],
         values: &["--out", "--hops", "--scores", "--scores-out"],
         switches: &["--verify"],
     },
     Spec {
         name: "compact",
+        positionals: &["compiled file path"],
         values: &["--out", "--delta", "--hops"],
         switches: &[],
     },
     Spec {
         name: "topk",
+        positionals: &["edgelist path"],
         values: &[
             "--k",
             "--hops",
@@ -355,6 +356,7 @@ const SUBCOMMANDS: &[Spec] = &[
     },
     Spec {
         name: "batch",
+        positionals: &["edgelist path", "query file path"],
         values: &[
             "--threads",
             "--algorithm",
@@ -366,11 +368,13 @@ const SUBCOMMANDS: &[Spec] = &[
     },
     Spec {
         name: "shard",
+        positionals: &["edgelist path"],
         values: &["--shards", "--strategy", "--halo"],
         switches: &[],
     },
     Spec {
         name: "serve",
+        positionals: &["edgelist path"],
         values: &[
             "--addr",
             "--threads",
@@ -388,6 +392,7 @@ const SUBCOMMANDS: &[Spec] = &[
     },
     Spec {
         name: "client",
+        positionals: &["server address", "query file path"],
         values: &[],
         switches: &["--exclude-self"],
     },
@@ -409,11 +414,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 
     match sub {
         "stats" => {
-            let input = a.positional(0, "edgelist path")?;
+            let input = a.positional(0);
             Ok(Command::Stats { input })
         }
         "compile" => {
-            let input = a.positional(0, "edgelist path")?;
+            let input = a.positional(0);
             let out = a.value("--out").ok_or("compile requires --out FILE")?;
             let hops = match a.value("--hops") {
                 None => vec![2],
@@ -427,12 +432,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 binary: a.has("--binary"),
                 seed: a.parsed("--seed")?.unwrap_or(42),
                 hops,
-                order: a.parsed("--order")?.unwrap_or(NodeOrder::Natural),
             })
         }
         "update" => {
-            let input = a.positional(0, "edgelist path")?;
-            let delta = a.positional(1, "delta file path")?;
+            let input = a.positional(0);
+            let delta = a.positional(1);
             let hops = match a.value("--hops") {
                 None => vec![2],
                 Some(list) => parse_hops_list(&list)?,
@@ -448,7 +452,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "compact" => {
-            let input = a.positional(0, "compiled file path")?;
+            let input = a.positional(0);
             let out = a.value("--out").ok_or("compact requires --out FILE")?;
             let hops = match a.value("--hops") {
                 None => None,
@@ -462,7 +466,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "serve" => {
-            let input = a.positional(0, "edgelist path")?;
+            let input = a.positional(0);
             let max_batch: usize = a.parsed("--max-batch")?.unwrap_or(64);
             if max_batch == 0 {
                 return Err("--max-batch must be at least 1".into());
@@ -512,8 +516,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "client" => {
-            let addr = a.positional(0, "server address")?;
-            let queries = a.positional(1, "query file path")?;
+            let addr = a.positional(0);
+            let queries = a.positional(1);
             Ok(Command::Client {
                 addr,
                 queries,
@@ -521,7 +525,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "generate" => {
-            let kind: DatasetKind = a.positional(0, "dataset kind")?.parse()?;
+            let kind: DatasetKind = a.positional(0).parse()?;
             let out = a.value("--out").ok_or("generate requires --out FILE")?;
             Ok(Command::Generate {
                 kind,
@@ -531,8 +535,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "batch" => {
-            let input = a.positional(0, "edgelist path")?;
-            let queries = a.positional(1, "query file path")?;
+            let input = a.positional(0);
+            let queries = a.positional(1);
             let chunk: usize = a.parsed("--chunk")?.unwrap_or(1024);
             if chunk == 0 {
                 return Err("--chunk must be at least 1".into());
@@ -557,7 +561,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "shard" => {
-            let input = a.positional(0, "edgelist path")?;
+            let input = a.positional(0);
             let shards: usize = a.parsed("--shards")?.ok_or("shard requires --shards N")?;
             if shards == 0 {
                 return Err("--shards must be at least 1".into());
@@ -576,7 +580,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "topk" => {
-            let input = a.positional(0, "edgelist path")?;
+            let input = a.positional(0);
+            let k: usize = a.parsed("--k")?.unwrap_or(10);
+            if k == 0 {
+                return Err("k must be at least 1".into());
+            }
+            let hops: u32 = a.parsed("--hops")?.unwrap_or(2);
+            if hops == 0 {
+                return Err("hops must be at least 1".into());
+            }
             let shards: usize = a.parsed("--shards")?.unwrap_or(1);
             if shards == 0 {
                 return Err("--shards must be at least 1".into());
@@ -584,8 +596,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::TopK {
                 input,
                 compiled: a.has("--compiled"),
-                k: a.parsed("--k")?.unwrap_or(10),
-                hops: a.parsed("--hops")?.unwrap_or(2),
+                k,
+                hops,
                 aggregate: a.parsed("--aggregate")?.unwrap_or(Aggregate::Sum),
                 algorithm: a
                     .parsed("--algorithm")?
@@ -646,7 +658,8 @@ struct Flags<'a> {
 
 impl<'a> Flags<'a> {
     /// Split `rest` into positionals and flags. Every `--flag` must be
-    /// one `spec` declares; a valued flag takes the next argument.
+    /// one `spec` declares, a valued flag takes the next argument, and
+    /// there must be exactly as many positionals as `spec` names.
     fn split(spec: &'static Spec, rest: &[&'a str]) -> Result<Self, String> {
         let mut flags = Flags {
             spec,
@@ -667,15 +680,22 @@ impl<'a> Flags<'a> {
                 return Err(format!("unknown flag `{arg}` for `lona {}`", spec.name));
             }
         }
+        if let Some(missing) = spec.positionals.get(flags.positionals.len()) {
+            return Err(format!("missing {missing}"));
+        }
+        if let Some(extra) = flags.positionals.get(spec.positionals.len()) {
+            return Err(format!(
+                "unexpected argument `{extra}` for `lona {}`",
+                spec.name
+            ));
+        }
         Ok(flags)
     }
 
-    /// The i-th non-flag argument.
-    fn positional(&self, index: usize, what: &str) -> Result<String, String> {
-        self.positionals
-            .get(index)
-            .map(|arg| arg.to_string())
-            .ok_or_else(|| format!("missing {what}"))
+    /// The i-th non-flag argument ([`Flags::split`] has checked that
+    /// the spec names it and that it is present).
+    fn positional(&self, index: usize) -> String {
+        self.positionals[index].to_string()
     }
 
     /// Every value of a repeatable valued flag, in argument order.
@@ -1125,6 +1145,16 @@ mod tests {
         assert!(parse(&v(&["topk", "g.txt", "--aggregate", "median"])).is_err());
         assert!(parse(&v(&["generate", "socialnet", "--out", "x"])).is_err());
         assert!(parse(&v(&["frobnicate"])).is_err());
+        // Zero would panic in the engine, so topk refuses it up front.
+        for (args, want) in [
+            (&["topk", "g.txt", "--k", "0"][..], "k must be at least 1"),
+            (
+                &["topk", "g.txt", "--hops", "0"][..],
+                "hops must be at least 1",
+            ),
+        ] {
+            assert_eq!(parse(&v(args)).unwrap_err(), want, "{args:?}");
+        }
     }
 
     #[test]
@@ -1154,8 +1184,30 @@ mod tests {
         assert!(err.starts_with("unknown subcommand `convert`"), "{err}");
     }
 
-    /// Each subcommand's USAGE entry names exactly the flags its
-    /// `SUBCOMMANDS` entry declares, and every entry has a parse arm.
+    #[test]
+    fn positionals_are_counted_against_the_table() {
+        for (args, want) in [
+            (
+                &["topk", "c.el", "other.lona", "--k", "2"][..],
+                "unexpected argument `other.lona` for `lona topk`",
+            ),
+            (
+                &["batch", "c.el", "q.txt", "extra"][..],
+                "unexpected argument `extra` for `lona batch`",
+            ),
+            (&["batch", "c.el"][..], "missing query file path"),
+            (&["client", "127.0.0.1:7878"][..], "missing query file path"),
+            (&["update", "c.el"][..], "missing delta file path"),
+            (&["compact", "--out", "x"][..], "missing compiled file path"),
+            (&["generate", "--out", "x"][..], "missing dataset kind"),
+        ] {
+            assert_eq!(parse(&v(args)).unwrap_err(), want, "{args:?}");
+        }
+    }
+
+    /// Each subcommand's USAGE entry names exactly the flags, and as
+    /// many `<…>` positionals, as its `SUBCOMMANDS` entry declares,
+    /// and every entry has a parse arm.
     #[test]
     fn usage_names_exactly_the_declared_flags() {
         let lines: Vec<&str> = USAGE.lines().collect();
@@ -1180,8 +1232,17 @@ mod tests {
                 spec.values.iter().chain(spec.switches).copied().collect();
             declared.sort_unstable();
             assert_eq!(named, declared, "lona {}", spec.name);
+            assert_eq!(
+                entry.matches('<').count(),
+                spec.positionals.len(),
+                "lona {}",
+                spec.name
+            );
             // Reaching the arm, not `unreachable!`, is the check here.
-            let _ = parse(&v(&[spec.name]));
+            let args: Vec<&str> = std::iter::once(spec.name)
+                .chain(spec.positionals.iter().map(|_| "x"))
+                .collect();
+            let _ = parse(&v(&args));
         }
         assert_eq!(
             lines.iter().filter(|l| l.starts_with("  lona ")).count(),
@@ -1203,7 +1264,6 @@ mod tests {
                 binary: false,
                 seed: 42,
                 hops: vec![2],
-                order: NodeOrder::Natural,
             }
         );
         let c = parse(&v(&[
@@ -1223,12 +1283,6 @@ mod tests {
         assert!(parse(&v(&["compile", "g.txt"])).is_err(), "--out required");
         assert!(parse(&v(&["compile", "g.txt", "--out", "x", "--hops", "0"])).is_err());
         assert!(parse(&v(&["compile", "g.txt", "--out", "x", "--hops", "2,x"])).is_err());
-        let c = parse(&v(&["compile", "g.txt", "--out", "x", "--order", "degree"])).unwrap();
-        match c {
-            Command::Compile { order, .. } => assert_eq!(order, NodeOrder::Degree),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&v(&["compile", "g.txt", "--out", "x", "--order", "zorder"])).is_err());
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::time::{Duration, Instant};
 
 use lona_core::delta::{apply_score_overrides, repair_engine_state, RepairStats};
 use lona_core::exec::resolve_threads;
-use lona_core::locality::{map_entries_to_original, permute_scores};
 use lona_core::serve::{
     histogram_count, histogram_quantile_checked, ErrorCode, Reply, ServeClient, ServeOptions,
     Server, StatsReport,
@@ -29,9 +28,7 @@ use lona_graph::algo::{
 };
 use lona_graph::io::{read_edge_list, write_edge_list, EdgeListOptions};
 use lona_graph::partition::{partition, PartitionStrategy, ShardedGraph};
-use lona_graph::{
-    CsrGraph, GraphBuilder, GraphDelta, GraphStore, NodeId, NodeOrder, OverlayGraph, Permutation,
-};
+use lona_graph::{CsrGraph, GraphDelta, GraphStore, NodeOrder, OverlayGraph};
 use lona_relevance::{MixtureBuilder, ScoreVec};
 
 use crate::args::{AlgorithmChoice, Command};
@@ -90,7 +87,6 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
             binary,
             seed,
             hops,
-            order,
         } => compile_cmd(
             input,
             out,
@@ -99,7 +95,6 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
             *binary,
             *seed,
             hops,
-            *order,
         )
         .map(Execution::done),
         Command::Update {
@@ -167,18 +162,11 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
             let summary = if *compiled {
                 let c = load_compiled(input)?;
                 let lines = parse_query_lines(&text, c.csr().num_nodes());
-                run_batch_file(
-                    &c,
-                    &lines,
-                    &opts,
-                    c.warm_states(),
-                    c.permutation(),
-                    &mut lock,
-                )?
+                run_batch_file(&c, &lines, &opts, c.warm_states(), &mut lock)?
             } else {
                 let g = load_graph(input)?;
                 let lines = parse_query_lines(&text, g.num_nodes());
-                run_batch_file(&g, &lines, &opts, BTreeMap::new(), None, &mut lock)?
+                run_batch_file(&g, &lines, &opts, BTreeMap::new(), &mut lock)?
             };
             lock.flush().map_err(|e| format!("stdout: {e}"))?;
             eprint!("{}", summary.describe());
@@ -257,16 +245,8 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
         } => {
             if *compiled {
                 let c = load_compiled(input)?;
-                // External score files speak original ids; the file's
-                // own embedded scores are already in the packed order.
                 let score_vec = match scores {
-                    Some(path) => {
-                        let s = load_scores(path, c.csr().num_nodes())?;
-                        match c.permutation() {
-                            Some(p) => permute_scores(p, &s),
-                            None => s,
-                        }
-                    }
+                    Some(path) => load_scores(path, c.csr().num_nodes())?,
                     None => c.scores().cloned().ok_or_else(|| {
                         format!("{input} carries no score vector; pass --scores FILE")
                     })?,
@@ -283,7 +263,6 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
                         *threads,
                         *shards,
                         *strategy,
-                        c.permutation(),
                     )
                     .map(Execution::done);
                 }
@@ -297,7 +276,6 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
                     !*exclude_self,
                     *threads,
                     c.engine_state(*hops),
-                    c.permutation(),
                 )
                 .map(Execution::done);
             }
@@ -324,7 +302,6 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
                     *threads,
                     *shards,
                     *strategy,
-                    None,
                 )
                 .map(Execution::done)
             } else {
@@ -337,7 +314,6 @@ pub fn execute(command: &Command) -> Result<Execution, String> {
                     *algorithm,
                     !*exclude_self,
                     *threads,
-                    None,
                     None,
                 )
                 .map(Execution::done)
@@ -532,7 +508,6 @@ fn shard_report(
 /// mmap-able file. The score default mirrors `lona topk`'s generation
 /// exactly, so a compiled run and an edge-list run of the same seed
 /// answer identically.
-#[allow(clippy::too_many_arguments)]
 fn compile_cmd(
     input: &str,
     out: &str,
@@ -541,7 +516,6 @@ fn compile_cmd(
     binary: bool,
     seed: u64,
     hops: &[u32],
-    order: NodeOrder,
 ) -> Result<String, String> {
     let g = load_graph(input)?;
     let score_vec = match scores {
@@ -559,14 +533,14 @@ fn compile_cmd(
         scores: Some(&score_vec),
         hops,
         with_diff: true,
-        order,
+        order: NodeOrder::Natural,
     };
     compile_to_file(&spec, Path::new(out)).map_err(|e| format!("compile failed: {e}"))?;
     let bytes = std::fs::metadata(out)
         .map(|m| m.len())
         .map_err(|e| format!("cannot stat {out}: {e}"))?;
     Ok(format!(
-        "{} nodes, {} edges, radii {hops:?}, {order} order -> compiled {out} ({bytes} bytes)\n",
+        "{} nodes, {} edges, radii {hops:?} -> compiled {out} ({bytes} bytes)\n",
         g.num_nodes(),
         g.num_edges(),
     ))
@@ -710,9 +684,7 @@ fn update_cmd(
 
 /// `lona compact`: fold an optional delta into a compiled container
 /// and re-emit it as a fresh file — the offline companion to the
-/// in-memory [`OverlayGraph::compact`]. Deltas speak original node
-/// ids, so a reordered container is un-permuted first and recompiled
-/// under its original order policy (or the same natural order).
+/// in-memory [`OverlayGraph::compact`].
 fn compact_cmd(
     input: &str,
     out: &str,
@@ -720,45 +692,10 @@ fn compact_cmd(
     hops: Option<&[u32]>,
 ) -> Result<String, String> {
     let c = load_compiled(input)?;
-    let packed = c.csr();
-    let orig = |id: NodeId| -> u32 {
-        match c.permutation() {
-            Some(p) => p.to_old(id).0,
-            None => id.0,
-        }
-    };
-    let mut b = if packed.is_directed() {
-        GraphBuilder::directed()
-    } else {
-        GraphBuilder::undirected()
-    }
-    .with_num_nodes(packed.num_nodes() as u32);
-    for (u, v, w) in packed.edges() {
-        b = if packed.has_weights() {
-            b.add_weighted_edge(orig(u), orig(v), w)
-        } else {
-            b.add_edge(orig(u), orig(v))
-        };
-    }
-    let g = b
-        .build()
-        .map_err(|e| format!("cannot rebuild {input}: {e}"))?;
-    // Embedded scores are stored packed; bring them back to original
-    // order alongside the graph.
-    let mut score_vec = c.scores().map(|s| match c.permutation() {
-        Some(p) => {
-            let packed_scores = s.as_slice();
-            let mut v = vec![0.0; packed_scores.len()];
-            for (i, &x) in packed_scores.iter().enumerate() {
-                v[p.to_old(NodeId(i as u32)).index()] = x;
-            }
-            ScoreVec::new(v)
-        }
-        None => s.clone(),
-    });
-    let (n, old_edges) = (g.num_nodes(), g.num_edges());
+    let mut score_vec = c.scores().cloned();
+    let (n, old_edges) = (c.csr().num_nodes(), c.csr().num_edges());
 
-    let mut overlay = OverlayGraph::new(g);
+    let mut overlay = OverlayGraph::new(&c);
     let mut applied_line = String::new();
     if let Some(path) = delta {
         let d = GraphDelta::parse_str(&read_text(path)?).map_err(|e| format!("{path}: {e}"))?;
@@ -786,7 +723,7 @@ fn compact_cmd(
         scores: score_vec.as_ref(),
         hops: &radii,
         with_diff: true,
-        order: c.order(),
+        order: NodeOrder::Natural,
     };
     compile_to_file(&spec, Path::new(out)).map_err(|e| format!("compile failed: {e}"))?;
     // The whole point is a loadable container; prove it.
@@ -795,10 +732,9 @@ fn compact_cmd(
         .map(|m| m.len())
         .map_err(|e| format!("cannot stat {out}: {e}"))?;
     Ok(format!(
-        "compact {input} -> {out}: {n} nodes, {old_edges} -> {} edges, radii {radii:?}, \
-         {} order ({bytes} bytes)\n{applied_line}",
+        "compact {input} -> {out}: {n} nodes, {old_edges} -> {} edges, radii {radii:?} \
+         ({bytes} bytes)\n{applied_line}",
         reloaded.csr().num_edges(),
-        reloaded.order(),
     ))
 }
 
@@ -1103,7 +1039,6 @@ pub fn run_batch_file<G: GraphStore + ?Sized>(
     lines: &[QueryLine],
     opts: &BatchRunOptions,
     warm: BTreeMap<u32, EngineState>,
-    perm: Option<&Permutation>,
     sink: &mut dyn IoWrite,
 ) -> Result<BatchSummary, String> {
     let num_nodes = g.csr().num_nodes();
@@ -1148,18 +1083,12 @@ pub fn run_batch_file<G: GraphStore + ?Sized>(
             .collect();
 
         // Materialize this chunk's binary score vectors.
-        // Query files speak original ids; a permuted (`--order`
-        // compiled) graph takes its sources in the packed space.
         let score_vecs: Vec<ScoreVec> = valid
             .iter()
             .map(|(_, spec)| {
                 let mut values = vec![0.0; num_nodes];
                 for &u in &spec.sources {
-                    let slot = match perm {
-                        Some(p) => p.to_new(lona_graph::NodeId(u)).0,
-                        None => u,
-                    };
-                    values[slot as usize] = 1.0;
+                    values[u as usize] = 1.0;
                 }
                 ScoreVec::new(values)
             })
@@ -1302,13 +1231,10 @@ pub fn run_batch_file<G: GraphStore + ?Sized>(
         for (i, line) in chunk.iter().enumerate() {
             match &line.parsed {
                 Ok(spec) => {
-                    let mut entries = results
+                    let entries = results
                         .next()
                         .flatten()
                         .expect("every valid chunk query produced a result");
-                    if let Some(p) = perm {
-                        map_entries_to_original(p, &mut entries);
-                    }
                     write_result_line(sink, chunk_start + i, spec, &entries)?;
                     summary.queries += 1;
                 }
@@ -1325,7 +1251,6 @@ pub fn run_batch_file<G: GraphStore + ?Sized>(
 /// Configure and bind one [`Server`] from CLI-level inputs: the warm
 /// states (compiled path), every `--register NAME=SCOREFILE` pair,
 /// and the optional `--shards` routing.
-#[allow(clippy::too_many_arguments)]
 fn build_server<G: GraphStore + Send + Sync + 'static>(
     graph: Arc<G>,
     addr: &str,
@@ -1333,13 +1258,9 @@ fn build_server<G: GraphStore + Send + Sync + 'static>(
     sharding: Option<(usize, PartitionStrategy, u32)>,
     register: &[(String, String)],
     warm: BTreeMap<u32, EngineState>,
-    permutation: Option<Permutation>,
 ) -> Result<Server, String> {
     let num_nodes = graph.csr().num_nodes();
     let mut builder = Server::builder(graph).options(opts).warm(warm);
-    if let Some(p) = permutation {
-        builder = builder.permutation(p);
-    }
     for (name, path) in register {
         builder = builder.register(name.clone(), load_scores(path, num_nodes)?);
     }
@@ -1367,15 +1288,13 @@ fn serve_forever(
     let server = if compiled {
         let c = load_compiled(input)?;
         let warm = c.warm_states();
-        let perm = c.permutation().cloned();
         eprintln!(
-            "lona serve: {input}: {} nodes, {} edges (compiled, warm radii {:?}, {} order)",
+            "lona serve: {input}: {} nodes, {} edges (compiled, warm radii {:?})",
             c.csr().num_nodes(),
             c.csr().num_edges(),
             c.hops_list(),
-            c.order(),
         );
-        build_server(Arc::new(c), addr, opts, sharding, register, warm, perm)?
+        build_server(Arc::new(c), addr, opts, sharding, register, warm)?
     } else {
         let g = Arc::new(load_graph(input)?);
         eprintln!(
@@ -1383,7 +1302,7 @@ fn serve_forever(
             g.num_nodes(),
             g.num_edges()
         );
-        build_server(g, addr, opts, sharding, register, BTreeMap::new(), None)?
+        build_server(g, addr, opts, sharding, register, BTreeMap::new())?
     };
     let backend_note = match sharding {
         Some((shards, strategy, halo)) => format!("{shards} shards ({strategy}, halo {halo})"),
@@ -1534,18 +1453,14 @@ fn topk<G: GraphStore + ?Sized>(
     include_self: bool,
     threads: usize,
     warm: Option<EngineState>,
-    perm: Option<&Permutation>,
 ) -> Result<String, String> {
     let algorithm = choice_to_algorithm(choice);
     let mut engine = match warm {
         Some(state) => LonaEngine::from_state(g, hops, state),
         None => LonaEngine::new(g, hops),
     };
-    let query = TopKQuery::new(k.max(1), aggregate).include_self(include_self);
-    let mut result = engine.run_threads(&algorithm, threads, &query, scores);
-    if let Some(p) = perm {
-        map_entries_to_original(p, &mut result.entries);
-    }
+    let query = TopKQuery::new(k, aggregate).include_self(include_self);
+    let result = engine.run_threads(&algorithm, threads, &query, scores);
 
     let mut out = String::new();
     let worker_note = match threads {
@@ -1583,23 +1498,19 @@ fn sharded_topk<G: GraphStore + ?Sized>(
     threads: usize,
     shards: usize,
     strategy: PartitionStrategy,
-    perm: Option<&Permutation>,
 ) -> Result<String, String> {
     if g.csr().is_directed() {
         return Err("--shards requires an undirected graph".into());
     }
     let sharded = partition(g, shards, strategy, hops).map_err(|e| e.to_string())?;
     let mut engine = ShardedEngine::new(&sharded, hops);
-    let query = TopKQuery::new(k.max(1), aggregate).include_self(include_self);
+    let query = TopKQuery::new(k, aggregate).include_self(include_self);
     let opts = ShardOptions {
         threads,
         force: Some(choice_to_algorithm(choice)),
         ..Default::default()
     };
-    let mut out = engine.run(&query, scores, &opts);
-    if let Some(p) = perm {
-        map_entries_to_original(p, &mut out.result.entries);
-    }
+    let out = engine.run(&query, scores, &opts);
 
     let mut text = String::new();
     let _ = writeln!(
@@ -1755,7 +1666,7 @@ mod tests {
         opts: &BatchRunOptions,
     ) -> (String, BatchSummary) {
         let mut sink = Vec::new();
-        let summary = run_batch_file(g, lines, opts, BTreeMap::new(), None, &mut sink).unwrap();
+        let summary = run_batch_file(g, lines, opts, BTreeMap::new(), &mut sink).unwrap();
         (String::from_utf8(sink).unwrap(), summary)
     }
 
@@ -2187,12 +2098,10 @@ mod tests {
     fn compact_folds_delta_and_answers_like_a_plain_engine() {
         let p = tmp("compact_graph.txt");
         write_sample_graph(&p);
-        // Distinct 1-hop sums everywhere: ties would break in packed
-        // id order on the compiled path and mask nothing.
+        // Distinct 1-hop sums everywhere, so the ranking has no ties
+        // to hide a difference behind.
         let s = tmp("compact_scores.txt");
         std::fs::write(&s, "0.9\n0.1\n0.5\n0.3\n0.7\n").unwrap();
-        // BFS order exercises the un-permute path: the delta speaks
-        // original ids against a reordered container.
         let c1 = tmp("compact_in.lona");
         execute(
             &parse(&[
@@ -2202,8 +2111,6 @@ mod tests {
                 c1.clone(),
                 "--scores".into(),
                 s,
-                "--order".into(),
-                "bfs".into(),
             ])
             .unwrap(),
         )
@@ -2307,15 +2214,8 @@ mod tests {
 
         let compiled = load_compiled(&c).unwrap();
         let mut sink = Vec::new();
-        let summary = run_batch_file(
-            &compiled,
-            &lines,
-            &opts,
-            compiled.warm_states(),
-            compiled.permutation(),
-            &mut sink,
-        )
-        .unwrap();
+        let summary =
+            run_batch_file(&compiled, &lines, &opts, compiled.warm_states(), &mut sink).unwrap();
         let mapped = String::from_utf8(sink).unwrap();
         assert_eq!(mapped, plain, "compiled batch output diverged");
         assert_eq!(summary.queries, 3);

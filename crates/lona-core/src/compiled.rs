@@ -6,14 +6,6 @@
 //! one little-endian, section-addressed container that can be memory
 //! mapped and queried with **zero parses and zero index builds**.
 //!
-//! Since the `--order` work the container can also carry a node
-//! [`Permutation`]: the graph, scores, and indexes are packed in a
-//! cache-friendly renumbering (degree or BFS order) and a `Perm`
-//! section records `new_to_old` so results can be mapped back to
-//! original ids at query time. Natural-order files emit no `Perm`
-//! section, so the format is unchanged for them and every pre-`--order`
-//! container keeps loading (and reads as natural order).
-//!
 //! ## Layout (version 1, magic `LONACPK1`)
 //!
 //! ```text
@@ -29,6 +21,10 @@
 //! 8-byte-aligned offsets (zero-padded), so a `u32`/`f64` view over
 //! the raw bytes is always aligned. `aux` carries the hop radius for
 //! index sections and is zero elsewhere.
+//!
+//! Kind 10 is retired: it held the node permutation of a renumbered
+//! container, and the loader refuses it like any kind it does not
+//! read, so such a file can never answer in packed ids.
 //!
 //! ## Validation order
 //!
@@ -51,13 +47,13 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-use lona_graph::order::{reorder, NodeOrder, Permutation};
-use lona_graph::{CsrGraphMmap, CsrView, GraphError, GraphStore, MapSlice, Mmap, NodeId};
+use lona_graph::{
+    CsrGraphMmap, CsrView, GraphError, GraphStore, MapSlice, Mmap, NodeId, NodeOrder,
+};
 use lona_relevance::ScoreVec;
 
 use crate::engine::EngineState;
 use crate::index::{DiffIndex, SizeIndex};
-use crate::locality::permute_scores;
 
 /// File magic: "LONA ComPacK v1".
 pub const MAGIC: &[u8; 8] = b"LONACPK1";
@@ -78,10 +74,6 @@ enum SectionKind {
     Scores = 7,
     SizeIdx = 8,
     DiffIdx = 9,
-    /// Node renumbering applied to every other section: the payload is
-    /// `new_to_old` as u32s, `aux` is the [`NodeOrder`] code. Absent on
-    /// natural-order files.
-    Perm = 10,
 }
 
 impl SectionKind {
@@ -97,7 +89,6 @@ impl SectionKind {
             7 => Scores,
             8 => SizeIdx,
             9 => DiffIdx,
-            10 => Perm,
             _ => return None,
         })
     }
@@ -141,10 +132,8 @@ pub struct CompileSpec<'a> {
     /// ignored — not an error — on directed graphs, which cannot
     /// carry one).
     pub with_diff: bool,
-    /// Node order to pack the container in. Anything but
-    /// [`NodeOrder::Natural`] renumbers the graph (and permutes the
-    /// scores, and builds the indexes on the renumbered view) and
-    /// records the permutation in a `Perm` section.
+    /// Always [`NodeOrder::Natural`]; the field exists so that
+    /// existing `CompileSpec` literals keep compiling.
     pub order: NodeOrder,
 }
 
@@ -217,23 +206,6 @@ pub fn compile_to_vec(spec: &CompileSpec<'_>) -> Result<Vec<u8>, GraphError> {
         return Err(bad("hop radius 0 cannot be indexed"));
     }
 
-    // Renumber before packing: the container stores the *reordered*
-    // graph/scores, the indexes are built on the reordered view, and
-    // the Perm section is what lets readers translate back.
-    let reordered: Option<(lona_graph::CsrGraph, Option<ScoreVec>, Permutation)> =
-        if spec.order == NodeOrder::Natural {
-            None
-        } else {
-            let perm = spec.order.compute(spec.graph);
-            let rg = reorder(spec.graph, &perm);
-            let rs = spec.scores.map(|s| permute_scores(&perm, s));
-            Some((rg, rs, perm))
-        };
-    let (g, packed_scores): (CsrView<'_>, Option<&ScoreVec>) = match &reordered {
-        Some((rg, rs, _)) => (rg.view(), rs.as_ref()),
-        None => (g, spec.scores),
-    };
-
     let mut sections: Vec<SectionBuf> = Vec::new();
 
     let mut flags = 0u64;
@@ -243,7 +215,7 @@ pub fn compile_to_vec(spec: &CompileSpec<'_>) -> Result<Vec<u8>, GraphError> {
     if g.has_weights() {
         flags |= FLAG_WEIGHTS;
     }
-    if packed_scores.is_some() {
+    if spec.scores.is_some() {
         flags |= FLAG_SCORES;
     }
     let mut meta = Vec::with_capacity(META_LEN);
@@ -297,7 +269,7 @@ pub fn compile_to_vec(spec: &CompileSpec<'_>) -> Result<Vec<u8>, GraphError> {
             payload: u32s_to_bytes(&rt),
         });
     }
-    if let Some(s) = packed_scores {
+    if let Some(s) = spec.scores {
         let mut out = Vec::with_capacity(s.len() * 8);
         for v in s.as_slice() {
             out.extend_from_slice(&v.to_le_bytes());
@@ -308,14 +280,6 @@ pub fn compile_to_vec(spec: &CompileSpec<'_>) -> Result<Vec<u8>, GraphError> {
             payload: out,
         });
     }
-    if let Some((_, _, perm)) = &reordered {
-        sections.push(SectionBuf {
-            kind: SectionKind::Perm,
-            aux: spec.order.code(),
-            payload: u32s_to_bytes(perm.new_to_old()),
-        });
-    }
-
     for &h in &hops {
         let sizes = SizeIndex::build(g, h);
         sections.push(SectionBuf {
@@ -386,8 +350,6 @@ pub struct CompiledGraph {
     graph: CsrGraphMmap,
     scores: Option<ScoreVec>,
     indexes: BTreeMap<u32, (SizeIndex, Option<DiffIndex>)>,
-    order: NodeOrder,
-    permutation: Option<Permutation>,
 }
 
 impl CompiledGraph {
@@ -591,30 +553,6 @@ impl CompiledGraph {
             None => None,
         };
 
-        let (order, permutation) = match find_unique(SectionKind::Perm)? {
-            Some(s) => {
-                let order = NodeOrder::from_code(s.aux).ok_or_else(|| {
-                    bad(format!("Perm section with unknown order code {}", s.aux))
-                })?;
-                if order == NodeOrder::Natural {
-                    return Err(bad("natural order never carries a Perm section"));
-                }
-                let len = elems(s, 4, "Perm")?;
-                if len != num_nodes {
-                    return Err(bad(format!(
-                        "Perm covers {len} nodes but the graph has {num_nodes}"
-                    )));
-                }
-                // The permutation is tiny next to the graph, so copy it
-                // out of the map; `from_new_to_old` rejects any payload
-                // that is not a bijection on [0, n).
-                let slice = MapSlice::<u32>::new(buf.clone(), s.offset, len)?;
-                let perm = Permutation::from_new_to_old(slice.as_slice().to_vec())?;
-                (order, Some(perm))
-            }
-            None => (NodeOrder::Natural, None),
-        };
-
         let adjacency = graph.csr().num_adjacency_entries();
         let mut indexes: BTreeMap<u32, (SizeIndex, Option<DiffIndex>)> = BTreeMap::new();
         for s in sections.iter().filter(|s| s.kind == SectionKind::SizeIdx) {
@@ -665,8 +603,6 @@ impl CompiledGraph {
             graph,
             scores,
             indexes,
-            order,
-            permutation,
         })
     }
 
@@ -675,24 +611,9 @@ impl CompiledGraph {
         &self.graph
     }
 
-    /// The embedded score vector, if the file carries one. In the id
-    /// space of the packed graph — already permuted on `--order` files.
+    /// The embedded score vector, if the file carries one.
     pub fn scores(&self) -> Option<&ScoreVec> {
         self.scores.as_ref()
-    }
-
-    /// The node order the container's arrays are numbered in.
-    /// [`NodeOrder::Natural`] for every pre-`--order` file.
-    pub fn order(&self) -> NodeOrder {
-        self.order
-    }
-
-    /// The stored permutation (packed id ↔ original id), when the file
-    /// was compiled with `--order`. Callers must map external scores
-    /// *in* ([`crate::locality::permute_scores`]) and ranked entries
-    /// *out* ([`crate::locality::map_entries_to_original`]).
-    pub fn permutation(&self) -> Option<&Permutation> {
-        self.permutation.as_ref()
     }
 
     /// Hop radii with pre-built indexes, ascending.
@@ -730,7 +651,6 @@ impl std::fmt::Debug for CompiledGraph {
             .field("num_edges", &self.graph.num_edges())
             .field("has_scores", &self.scores.is_some())
             .field("hops", &self.hops_list())
-            .field("order", &self.order)
             .finish()
     }
 }
@@ -966,97 +886,26 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    fn compile_ordered(g: &lona_graph::CsrGraph, order: NodeOrder) -> Vec<u8> {
-        let scores = ScoreVec::from_fn(g.num_nodes(), |u| (u.0 % 4) as f64 / 3.0);
-        compile_to_vec(&CompileSpec {
-            graph: g.view(),
-            scores: Some(&scores),
-            hops: &[2],
-            with_diff: true,
-            order,
-        })
-        .unwrap()
-    }
-
+    /// Kind 10 held the node permutation of a renumbered container.
+    /// The loader does not read it, so such a file is refused rather
+    /// than answering in packed ids. The table lies outside the
+    /// payload checksums, so only the kind check stands in the way.
     #[test]
-    fn ordered_pack_round_trips_permutation_and_permuted_scores() {
+    fn unknown_section_kind_is_refused() {
         let g = sample();
-        let scores = ScoreVec::from_fn(g.num_nodes(), |u| (u.0 % 4) as f64 / 3.0);
-        for order in [NodeOrder::Degree, NodeOrder::Bfs] {
-            let c = CompiledGraph::from_bytes(compile_ordered(&g, order)).unwrap();
-            assert_eq!(c.order(), order);
-            let perm = c.permutation().expect("ordered pack carries a Perm");
-            assert_eq!(perm.len(), g.num_nodes());
-            // Packed graph is the reordered graph, scores moved along.
-            let (want, want_perm) = g.reordered(order);
-            assert_eq!(perm.new_to_old(), want_perm.new_to_old());
-            let mv = c.graph().csr();
-            for u in want.view().nodes() {
-                assert_eq!(mv.neighbors(u), want.neighbors(u));
-            }
-            for new in 0..g.num_nodes() as u32 {
-                let old = perm.to_old(NodeId(new));
-                assert_eq!(
-                    c.scores().unwrap().get(NodeId(new)).to_bits(),
-                    scores.get(old).to_bits()
-                );
-            }
-            // Indexes were built on the reordered view.
-            let state = c.engine_state(2).unwrap();
-            assert_eq!(
-                state.size_index().unwrap(),
-                &SizeIndex::build(want.view(), 2)
-            );
-            assert_eq!(state.index_builds(), 0);
-        }
-    }
-
-    #[test]
-    fn natural_pack_carries_no_perm_section() {
-        let g = sample();
-        let bytes = compile_ordered(&g, NodeOrder::Natural);
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let base = compile(&g, None, &[2]);
+        let count = u32::from_le_bytes(base[12..16].try_into().unwrap()) as usize;
         for i in 0..count {
+            let mut b = base.clone();
             let e = 16 + 32 * i;
-            let kind = u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap());
-            assert_ne!(kind, SectionKind::Perm as u32, "natural pack wrote a Perm");
-        }
-        let c = CompiledGraph::from_bytes(bytes).unwrap();
-        assert_eq!(c.order(), NodeOrder::Natural);
-        assert!(c.permutation().is_none());
-    }
-
-    #[test]
-    fn hostile_perm_payload_rejected() {
-        let g = sample();
-        let base = compile_ordered(&g, NodeOrder::Degree);
-
-        // Duplicate entry → not a bijection.
-        let mut b = base.clone();
-        forge_section(&mut b, SectionKind::Perm, |p| {
-            let first: [u8; 4] = p[0..4].try_into().unwrap();
-            p[4..8].copy_from_slice(&first);
-        });
-        assert!(CompiledGraph::from_bytes(b).is_err());
-
-        // Out-of-range entry.
-        let mut b = base.clone();
-        forge_section(&mut b, SectionKind::Perm, |p| {
-            p[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        });
-        assert!(CompiledGraph::from_bytes(b).is_err());
-
-        // Unknown order code in aux (aux sits in the table, outside
-        // the payload checksum).
-        let mut b = base.clone();
-        let count = u32::from_le_bytes(b[12..16].try_into().unwrap()) as usize;
-        for i in 0..count {
-            let e = 16 + 32 * i;
-            if u32::from_le_bytes(b[e..e + 4].try_into().unwrap()) == SectionKind::Perm as u32 {
-                b[e + 4..e + 8].copy_from_slice(&99u32.to_le_bytes());
+            b[e..e + 4].copy_from_slice(&10u32.to_le_bytes());
+            match CompiledGraph::from_bytes(b) {
+                Err(GraphError::BadSnapshot(msg)) => {
+                    assert_eq!(msg, format!("section {i}: unknown kind 10"))
+                }
+                other => panic!("kind 10 in entry {i} was not refused: {other:?}"),
             }
         }
-        assert!(CompiledGraph::from_bytes(b).is_err());
     }
 
     #[test]

@@ -56,8 +56,6 @@
 //!   dirty region of a [`SizeIndex`] / [`DiffIndex`] after an
 //!   [`lona_graph::OverlayGraph`] delta instead of rebuilding;
 //! * [`engine`] — index lifecycle + dispatch;
-//! * [`locality`] — run on a cache-friendly renumbered copy of the
-//!   graph, answer in original node ids;
 //! * [`plan`] — the cost-based per-query planner (algorithm + worker
 //!   count, with an override escape hatch);
 //! * [`batch`] — multi-query execution over the worker pool
@@ -82,7 +80,6 @@ pub mod delta;
 pub mod engine;
 pub mod exec;
 pub mod index;
-pub mod locality;
 pub mod neighborhood;
 pub mod plan;
 pub mod result;
@@ -100,7 +97,6 @@ pub use delta::{repair_engine_state, GraphDelta, OverlayGraph, RepairStats};
 pub use engine::{EngineState, LonaEngine, TopKQuery};
 pub use exec::SharedThreshold;
 pub use index::{DiffIndex, SizeIndex};
-pub use locality::ReorderedEngine;
 pub use plan::{plan_query, Plan, PlanReason, PlannerConfig};
 pub use result::QueryResult;
 pub use serve::{

@@ -14,12 +14,10 @@
 //! *sorted ascending*). The sort makes the f64 summation order a
 //! function of the visited *set* per depth — ascending id within each
 //! depth — instead of an accident of adjacency layout. That is what
-//! keeps serial results reproducible and lets a renumbered graph
-//! (see [`lona_graph::order`]) agree with the natural-order engine:
-//! under any numbering the scan accumulates depth-major, ascending-id
-//! within depth. It also turns the hot loop into a `&[u32]` gather
-//! over `&[f64]`, which the compiler can vectorize without caring how
-//! the ids were produced.
+//! keeps serial results reproducible: the scan accumulates
+//! depth-major, ascending-id within depth. It also turns the hot loop
+//! into a `&[u32]` gather over `&[f64]`, which the compiler can
+//! vectorize without caring how the ids were produced.
 
 use lona_graph::traversal::EpochSet;
 use lona_graph::{CsrView, NodeId};
@@ -75,7 +73,7 @@ impl NeighborhoodScanner {
     /// the module docs): callers gather scores over the returned
     /// frontier in a separate tight loop, so the f64 summation order
     /// per depth depends only on the visited set, not on adjacency
-    /// layout or node numbering.
+    /// layout.
     #[inline]
     fn discover(&mut self, g: CsrView<'_>) -> u64 {
         let mut edges = 0u64;
@@ -185,8 +183,8 @@ impl NeighborhoodScanner {
             edges += self.discover(g);
             count += self.frontier.len();
             // Callbacks fire in the canonical order too (ascending id
-            // within each depth), so distributions accumulate
-            // identically under any node numbering.
+            // within each depth), so distributions accumulate in a
+            // fixed order too.
             for &v in &self.frontier {
                 f(v, depth);
             }

@@ -83,10 +83,8 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lona_graph::order::Permutation;
 use lona_graph::{
-    partition, CsrView, GraphDelta, GraphStore, NodeId, OverlayGraph, PartitionStrategy,
-    ShardedGraph,
+    partition, CsrView, GraphDelta, GraphStore, OverlayGraph, PartitionStrategy, ShardedGraph,
 };
 use lona_relevance::ScoreVec;
 
@@ -247,7 +245,6 @@ pub struct ServerBuilder<G> {
     warm: BTreeMap<u32, EngineState>,
     registry: BTreeMap<String, Arc<ScoreVec>>,
     sharding: Option<Sharding>,
-    permutation: Option<Arc<Permutation>>,
 }
 
 impl<G: GraphStore + Send + Sync + 'static> ServerBuilder<G> {
@@ -288,17 +285,6 @@ impl<G: GraphStore + Send + Sync + 'static> ServerBuilder<G> {
         self
     }
 
-    /// Declare that `graph` is numbered under `perm` (an `--order`
-    /// compiled file): inline source sets are mapped into the packed
-    /// id space on the way in, registered relevance vectors are
-    /// permuted once at bind, and every reply's entries are mapped
-    /// back to original ids (ties re-broken by original id) on the
-    /// way out — the renumbering is invisible on the wire.
-    pub fn permutation(mut self, perm: Permutation) -> Self {
-        self.permutation = Some(Arc::new(perm));
-        self
-    }
-
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// start the service threads.
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<Server> {
@@ -306,9 +292,8 @@ impl<G: GraphStore + Send + Sync + 'static> ServerBuilder<G> {
             graph,
             mut opts,
             warm,
-            mut registry,
+            registry,
             sharding,
-            permutation,
         } = self;
         let num_nodes = graph.csr().num_nodes();
         for (name, scores) in &registry {
@@ -321,22 +306,6 @@ impl<G: GraphStore + Send + Sync + 'static> ServerBuilder<G> {
                         scores.len()
                     ),
                 ));
-            }
-        }
-        if let Some(perm) = &permutation {
-            if perm.len() != num_nodes {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "permutation covers {} nodes but the graph has {num_nodes}",
-                        perm.len()
-                    ),
-                ));
-            }
-            // Registered vectors arrive in original ids; carry them
-            // into the packed space once, not per query.
-            for scores in registry.values_mut() {
-                *scores = Arc::new(crate::locality::permute_scores(perm, scores));
             }
         }
 
@@ -385,18 +354,7 @@ impl<G: GraphStore + Send + Sync + 'static> ServerBuilder<G> {
             let metrics = Arc::clone(&metrics);
             std::thread::Builder::new()
                 .name("lona-serve-accept".into())
-                .spawn(move || {
-                    accept_loop(
-                        listener,
-                        graph,
-                        queue,
-                        stop,
-                        opts,
-                        metrics,
-                        registry,
-                        permutation,
-                    )
-                })?
+                .spawn(move || accept_loop(listener, graph, queue, stop, opts, metrics, registry))?
         };
         let batcher = {
             let graph = Arc::clone(&graph);
@@ -455,7 +413,6 @@ impl Server {
             warm: BTreeMap::new(),
             registry: BTreeMap::new(),
             sharding: None,
-            permutation: None,
         }
     }
 
@@ -495,7 +452,6 @@ impl Drop for Server {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn accept_loop<G: GraphStore + Send + Sync + 'static>(
     listener: TcpListener,
     graph: Arc<G>,
@@ -504,7 +460,6 @@ fn accept_loop<G: GraphStore + Send + Sync + 'static>(
     opts: ServeOptions,
     metrics: Arc<ServeMetrics>,
     registry: Arc<BTreeMap<String, Arc<ScoreVec>>>,
-    permutation: Option<Arc<Permutation>>,
 ) {
     let active = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
@@ -545,7 +500,6 @@ fn accept_loop<G: GraphStore + Send + Sync + 'static>(
         let queue = Arc::clone(&queue);
         let metrics = Arc::clone(&metrics);
         let registry = Arc::clone(&registry);
-        let permutation = permutation.clone();
         let active_in_handler = Arc::clone(&active);
         // Handlers are detached: they exit when their client closes
         // (or on shutdown, when the queue refuses admissions and the
@@ -553,7 +507,7 @@ fn accept_loop<G: GraphStore + Send + Sync + 'static>(
         let spawned = std::thread::Builder::new()
             .name("lona-serve-conn".into())
             .spawn(move || {
-                handle_connection(stream, graph, queue, opts, metrics, registry, permutation);
+                handle_connection(stream, graph, queue, opts, metrics, registry);
                 active_in_handler.fetch_sub(1, Ordering::SeqCst);
             });
         if spawned.is_err() {
@@ -581,7 +535,6 @@ fn retry_hint_micros(opts: &ServeOptions) -> u64 {
 /// connection (each rejected frame is logged and counted);
 /// framing/transport failures and timeouts close this connection
 /// only.
-#[allow(clippy::too_many_arguments)]
 fn handle_connection<G: GraphStore + Send + Sync>(
     stream: TcpStream,
     graph: Arc<G>,
@@ -589,7 +542,6 @@ fn handle_connection<G: GraphStore + Send + Sync>(
     opts: ServeOptions,
     metrics: Arc<ServeMetrics>,
     registry: Arc<BTreeMap<String, Arc<ScoreVec>>>,
-    permutation: Option<Arc<Permutation>>,
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(opts.io_timeout);
@@ -653,8 +605,7 @@ fn handle_connection<G: GraphStore + Send + Sync>(
                 // Updates ride the admission queue like queries, so
                 // a client's `query; update; query` executes in
                 // exactly that order on the batcher thread.
-                let outcome =
-                    admit_update(id, delta, &graph, &queue, &opts, permutation.as_deref());
+                let outcome = admit_update(id, delta, &graph, &queue, &opts);
                 metrics
                     .end_to_end
                     .record(received.elapsed().as_micros() as u64);
@@ -709,14 +660,7 @@ fn handle_connection<G: GraphStore + Send + Sync>(
             }
         };
 
-        let mut reply = answer(
-            request,
-            &graph,
-            &registry,
-            &queue,
-            &opts,
-            permutation.as_deref(),
-        );
+        let mut reply = answer(request, &graph, &registry, &queue, &opts);
         match &mut reply {
             Reply::Ok(r) => r.stats.serve_nanos = duration_nanos(received.elapsed()),
             Reply::Err { code, .. } => {
@@ -753,7 +697,6 @@ fn answer<G: GraphStore>(
     registry: &BTreeMap<String, Arc<ScoreVec>>,
     queue: &AdmissionQueue,
     opts: &ServeOptions,
-    perm: Option<&Permutation>,
 ) -> Reply {
     let id = request.id;
     let num_nodes = graph.csr().num_nodes();
@@ -761,16 +704,7 @@ fn answer<G: GraphStore>(
         return Reply::err(id, ErrorCode::BadRequest, message);
     }
     let scores = match &request.scores {
-        // Inline sources arrive in original ids; a permuted backend
-        // carries them into the packed space (same node count, so the
-        // validation above holds in either numbering).
-        ScoreRef::Sources(sources) => match perm {
-            Some(p) => {
-                let mapped: Vec<u32> = sources.iter().map(|&u| p.to_new(NodeId(u)).0).collect();
-                Arc::new(binary_scores(&mapped, num_nodes))
-            }
-            None => Arc::new(binary_scores(sources, num_nodes)),
-        },
+        ScoreRef::Sources(sources) => Arc::new(binary_scores(sources, num_nodes)),
         ScoreRef::Named(name) => match registry.get(name) {
             Some(v) => Arc::clone(v),
             None => {
@@ -800,21 +734,8 @@ fn answer<G: GraphStore>(
         }
         Admit::Closed => return Reply::err(id, ErrorCode::Internal, "server is shutting down"),
     }
-    match rx.recv() {
-        Ok(mut reply) => {
-            if let (Some(p), Reply::Ok(r)) = (perm, &mut reply) {
-                // Back to original ids, ties re-broken by original id
-                // so the wire result is numbering-independent.
-                for e in r.entries.iter_mut() {
-                    e.0 = p.to_old(NodeId(e.0)).0;
-                }
-                r.entries
-                    .sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            }
-            reply
-        }
-        Err(_) => Reply::err(id, ErrorCode::Internal, "server is shutting down"),
-    }
+    rx.recv()
+        .unwrap_or_else(|_| Reply::err(id, ErrorCode::Internal, "server is shutting down"))
 }
 
 /// Validate and admit one graph update, blocking on the batcher for
@@ -823,11 +744,10 @@ fn answer<G: GraphStore>(
 /// mutating a registered vector would change other clients' answers.
 fn admit_update<G: GraphStore>(
     id: u64,
-    mut delta: GraphDelta,
+    delta: GraphDelta,
     graph: &Arc<G>,
     queue: &AdmissionQueue,
     opts: &ServeOptions,
-    perm: Option<&Permutation>,
 ) -> Result<UpdateReport, Reply> {
     if !delta.score_overrides.is_empty() {
         return Err(Reply::err(
@@ -837,9 +757,9 @@ fn admit_update<G: GraphStore>(
              function instead",
         ));
     }
-    // Endpoint validation happens in original ids, so error messages
-    // match what the client sent (the overlay would reject the same
-    // ops later, but in the packed numbering).
+    // Endpoints are validated before admission, so a malformed delta
+    // is answered without queueing behind the barrier (the overlay
+    // would reject the same ops, but only on the batcher thread).
     let num_nodes = graph.csr().num_nodes();
     let check = |u: u32, v: u32| -> Result<(), Reply> {
         for e in [u, v] {
@@ -865,18 +785,6 @@ fn admit_update<G: GraphStore>(
     }
     for &(u, v) in &delta.deletes {
         check(u, v)?;
-    }
-    if let Some(p) = perm {
-        // Endpoints arrive in original ids; carry them into the
-        // packed space like inline source sets.
-        for e in delta.inserts.iter_mut() {
-            e.0 = p.to_new(NodeId(e.0)).0;
-            e.1 = p.to_new(NodeId(e.1)).0;
-        }
-        for e in delta.deletes.iter_mut() {
-            e.0 = p.to_new(NodeId(e.0)).0;
-            e.1 = p.to_new(NodeId(e.1)).0;
-        }
     }
     let (tx, rx) = mpsc::channel();
     match queue.push(Work::Update(UpdateJob {

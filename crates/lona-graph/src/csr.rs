@@ -233,7 +233,7 @@ impl<'a> CsrView<'a> {
 
 impl CsrGraph {
     /// Assemble a CSR graph from raw parts. Used by [`crate::GraphBuilder`]
-    /// and the crate's other constructors (reorder, overlay compaction,
+    /// and the crate's other constructors (overlay compaction,
     /// partitioning, mapped-to-owned copies); invariants are checked
     /// with debug assertions (the callers validate eagerly).
     pub(crate) fn from_parts(

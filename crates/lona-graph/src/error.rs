@@ -27,9 +27,9 @@ pub enum GraphError {
         /// Human-readable description.
         msg: String,
     },
-    /// A compiled container, or a node permutation or score section
-    /// read from one, failed validation: bad magic, version, length,
-    /// checksum or structure.
+    /// A compiled container, or a section read from one, failed
+    /// validation: bad magic, version, length, checksum, an unknown
+    /// section kind, or bad structure.
     BadSnapshot(String),
 }
 

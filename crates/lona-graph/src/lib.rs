@@ -21,8 +21,6 @@
 //!   [`CsrGraphMmap`].
 //! * [`mod@partition`] — edge-cut sharding with halo replication, the
 //!   storage layer of the scatter-gather engine.
-//! * [`mod@order`] — cache-locality node renumbering (degree/BFS
-//!   orders applied through a lossless [`Permutation`]).
 //! * [`OverlayGraph`] — sorted insert/tombstone logs plus a
 //!   score-override map layered over an immutable base, so a running
 //!   engine can apply [`GraphDelta`] batches without a rebuild.
@@ -57,7 +55,6 @@ mod error;
 pub mod io;
 pub mod mapped;
 mod node;
-pub mod order;
 mod overlay;
 pub mod partition;
 mod store;
@@ -68,7 +65,6 @@ pub use csr::{CsrGraph, CsrView, EdgeIter, NeighborIter};
 pub use error::GraphError;
 pub use mapped::{CsrGraphMmap, MapSlice, Pod};
 pub use node::NodeId;
-pub use order::{reorder, NodeOrder, Permutation};
 pub use overlay::{AppliedDelta, GraphDelta, OverlayGraph};
 pub use partition::{partition, PartitionStrategy, Shard, ShardLoc, ShardedGraph};
 pub use store::GraphStore;
@@ -76,6 +72,16 @@ pub use store::GraphStore;
 // The mapped backend's buffer type, re-exported so downstream crates
 // (the compiled-file loader) need no direct memmap2 dependency.
 pub use memmap2::Mmap;
+
+/// The node numbering a compiled container is packed in. The input
+/// numbering is the only one; the type exists so that existing
+/// `CompileSpec { order: NodeOrder::Natural, .. }` literals keep
+/// compiling.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum NodeOrder {
+    /// The input numbering, unchanged.
+    Natural,
+}
 
 /// Result alias for graph operations.
 pub type Result<T> = std::result::Result<T, GraphError>;

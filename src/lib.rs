@@ -70,14 +70,13 @@ pub mod prelude {
     pub use lona_core::{
         Aggregate, Algorithm, BackwardOptions, BatchMode, BatchOptions, BatchQuery, BatchResult,
         CompiledGraph, CoordinatorStats, EngineState, ForwardOptions, GammaSpec, LonaEngine, Plan,
-        PlanReason, PlannerConfig, ProcessingOrder, QueryResult, QueryStats, ReorderedEngine,
-        ServeClient, ServeOptions, Server, ServerBuilder, ShardOptions, ShardedEngine,
-        ShardedResult, TopKQuery,
+        PlanReason, PlannerConfig, ProcessingOrder, QueryResult, QueryStats, ServeClient,
+        ServeOptions, Server, ServerBuilder, ShardOptions, ShardedEngine, ShardedResult, TopKQuery,
     };
     pub use lona_gen::{DatasetKind, DatasetProfile};
     pub use lona_graph::{
         partition, CsrGraph, GraphBuilder, GraphDelta, NodeId, NodeOrder, OverlayGraph,
-        PartitionStrategy, Permutation,
+        PartitionStrategy,
     };
     pub use lona_relevance::{binary_blacking, MixtureBuilder, Relevance, ScoreVec};
 }

@@ -49,7 +49,6 @@ fn stage() -> (TempDir, String, String) {
         binary: false,
         seed: 42,
         hops: vec![1, HOPS],
-        order: NodeOrder::Natural,
     })
     .expect("compile graph");
     (dir, edges, packed)
@@ -151,18 +150,11 @@ fn batch_stdout_and_summary_are_byte_identical() {
 
         let lines = parse_query_lines(&queries, g.num_nodes());
         let mut cold_out = Vec::new();
-        let cold = run_batch_file(&g, &lines, &opts, BTreeMap::new(), None, &mut cold_out)
+        let cold = run_batch_file(&g, &lines, &opts, BTreeMap::new(), &mut cold_out)
             .expect("edge-list batch");
         let mut warm_out = Vec::new();
-        let warm = run_batch_file(
-            &c,
-            &lines,
-            &opts,
-            c.warm_states(),
-            c.permutation(),
-            &mut warm_out,
-        )
-        .expect("compiled batch");
+        let warm = run_batch_file(&c, &lines, &opts, c.warm_states(), &mut warm_out)
+            .expect("compiled batch");
 
         assert_eq!(
             String::from_utf8(cold_out).unwrap(),
