@@ -3,21 +3,28 @@
 //! in-RAM `CsrGraph` and the mmap-backed `CsrGraphMmap` loaded from a
 //! compiled file. The interesting number is the per-edge-visit delta
 //! between the two backends — the compiled format's claim is that
-//! mapped reads cost the same as heap reads.
+//! mapped reads cost the same as heap reads. The `update_barrier`
+//! group times what a server's UPDATE barrier runs on the compiled
+//! container's warm state: an edge swap and its inverse through
+//! `OverlayGraph::apply` and `repair_engine_state`, with and without
+//! a reader forcing the deferred differential-index repair.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lona_bench::workload::Workload;
+use lona_core::delta::repair_engine_state;
 use lona_core::{compile_to_file, CompileSpec, CompiledGraph, DiffIndex, SizeIndex};
 use lona_gen::DatasetKind;
-use lona_graph::{CsrGraph, GraphStore, NodeId, NodeOrder};
+use lona_graph::{CsrGraph, CsrView, GraphDelta, GraphStore, NodeId, NodeOrder, OverlayGraph};
 use lona_relevance::ScoreVec;
 
 const HOPS: u32 = 2;
 /// Nodes scanned per iteration — enough to touch a spread of degrees.
 const SAMPLE: u32 = 64;
+/// Seed of the `update_barrier` group's edge swap.
+const SWAP_SEED: u64 = 7;
 
 fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
     group.sample_size(10);
@@ -118,5 +125,68 @@ fn index_builds(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(hot_loops, scans, index_builds);
+/// One seeded edge swap on `g` and its inverse: delete an existing
+/// edge, insert an absent one between two other nodes.
+fn seeded_swap(g: CsrView<'_>, seed: u64) -> (GraphDelta, GraphDelta) {
+    // SplitMix64: a reproducible stream without a dependency.
+    let mut state = seed;
+    let mut next = |bound: usize| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as u32
+    };
+    let n = g.num_nodes();
+    let (du, dv) = loop {
+        let u = NodeId(next(n));
+        if g.degree(u) > 0 {
+            break (u.0, g.neighbors(u)[next(g.degree(u)) as usize].0);
+        }
+    };
+    let (iu, iv) = loop {
+        let (u, v) = (next(n), next(n));
+        if u != v && !g.has_edge(NodeId(u), NodeId(v)) {
+            break (u, v);
+        }
+    };
+    (
+        GraphDelta::new().delete(du, dv).insert(iu, iv),
+        GraphDelta::new().delete(iu, iv).insert(du, dv),
+    )
+}
+
+fn update_barrier(c: &mut Criterion) {
+    let (_g, compiled, _scores) = backends();
+    let (swap, inverse) = seeded_swap(compiled.csr(), SWAP_SEED);
+
+    let mut group = c.benchmark_group("update_barrier");
+    configure(&mut group);
+    // `swap_and_inverse` is the barrier alone; `with_diff_reader` also
+    // finishes the deferred differential repair after each delta, as
+    // a LONA-Forward query behind the barrier would.
+    for (label, read_diff) in [("swap_and_inverse", false), ("with_diff_reader", true)] {
+        let mut overlay = OverlayGraph::new(&compiled);
+        let mut state = compiled.engine_state(HOPS);
+        group.bench_function(BenchmarkId::new(label, HOPS), |b| {
+            b.iter(|| {
+                for delta in [&swap, &inverse] {
+                    let applied = overlay.apply(delta).expect("the swap applies");
+                    let old = applied.old.expect("the swap changes edges");
+                    let warm = state.take().expect("warm state");
+                    let (mut next, stats) =
+                        repair_engine_state(old.view(), overlay.csr(), &applied.touched, warm);
+                    if read_diff {
+                        next.prepare_diff_index(overlay.csr(), HOPS);
+                    }
+                    state = Some(next);
+                    criterion::black_box(stats);
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(hot_loops, scans, index_builds, update_barrier);
 criterion_main!(hot_loops);

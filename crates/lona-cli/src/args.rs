@@ -428,7 +428,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 input,
                 out,
                 scores: a.value("--scores"),
-                blacking: a.parsed("--blacking")?.unwrap_or(0.01),
+                blacking: a.blacking()?,
                 binary: a.has("--binary"),
                 seed: a.parsed("--seed")?.unwrap_or(42),
                 hops,
@@ -527,10 +527,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "generate" => {
             let kind: DatasetKind = a.positional(0).parse()?;
             let out = a.value("--out").ok_or("generate requires --out FILE")?;
+            let scale: f64 = a.parsed("--scale")?.unwrap_or(0.1);
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err("--scale must be a positive number".into());
+            }
             Ok(Command::Generate {
                 kind,
                 out,
-                scale: a.parsed("--scale")?.unwrap_or(0.1),
+                scale,
                 seed: a.parsed("--seed")?.unwrap_or(42),
             })
         }
@@ -603,7 +607,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .parsed("--algorithm")?
                     .unwrap_or(AlgorithmChoice::Backward),
                 scores: a.value("--scores"),
-                blacking: a.parsed("--blacking")?.unwrap_or(0.01),
+                blacking: a.blacking()?,
                 binary: a.has("--binary"),
                 seed: a.parsed("--seed")?.unwrap_or(42),
                 exclude_self: a.has("--exclude-self"),
@@ -728,6 +732,17 @@ impl<'a> Flags<'a> {
                 .parse::<T>()
                 .map(Some)
                 .map_err(|e| format!("bad {flag} `{v}`: {e}")),
+        }
+    }
+
+    /// The `--blacking` ratio (default 0.01), refused outside
+    /// `[0, 1]` (NaN included) before the generator asserts on it.
+    fn blacking(&self) -> Result<f64, String> {
+        let ratio = self.parsed("--blacking")?.unwrap_or(0.01);
+        if (0.0..=1.0).contains(&ratio) {
+            Ok(ratio)
+        } else {
+            Err("--blacking must be in [0, 1]".into())
         }
     }
 
@@ -1145,12 +1160,38 @@ mod tests {
         assert!(parse(&v(&["topk", "g.txt", "--aggregate", "median"])).is_err());
         assert!(parse(&v(&["generate", "socialnet", "--out", "x"])).is_err());
         assert!(parse(&v(&["frobnicate"])).is_err());
-        // Zero would panic in the engine, so topk refuses it up front.
+        // Zero would panic in the engine, so topk refuses it up front;
+        // an out-of-range blacking ratio would panic in the generator,
+        // and a scale that is not positive would write a bogus graph.
         for (args, want) in [
             (&["topk", "g.txt", "--k", "0"][..], "k must be at least 1"),
             (
                 &["topk", "g.txt", "--hops", "0"][..],
                 "hops must be at least 1",
+            ),
+            (
+                &["topk", "c.el", "--blacking", "2"][..],
+                "--blacking must be in [0, 1]",
+            ),
+            (
+                &["compile", "c.el", "--out", "x", "--blacking", "-1"][..],
+                "--blacking must be in [0, 1]",
+            ),
+            (
+                &["compile", "c.el", "--out", "x", "--blacking", "nan"][..],
+                "--blacking must be in [0, 1]",
+            ),
+            (
+                &["generate", "citation", "--out", "y.el", "--scale", "-1"][..],
+                "--scale must be a positive number",
+            ),
+            (
+                &["generate", "citation", "--out", "y.el", "--scale", "nan"][..],
+                "--scale must be a positive number",
+            ),
+            (
+                &["generate", "citation", "--out", "y.el", "--scale", "0"][..],
+                "--scale must be a positive number",
             ),
         ] {
             assert_eq!(parse(&v(args)).unwrap_err(), want, "{args:?}");

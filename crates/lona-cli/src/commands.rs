@@ -549,8 +549,9 @@ fn compile_cmd(
 /// `lona update`: apply a text delta to an edge-list graph and repair
 /// per-radius indexes incrementally instead of rebuilding them. The
 /// report prints the deterministic repair counters (dirty nodes,
-/// entries repaired, rebuild-avoided units) so scripts and CI can gate
-/// on "the repair stayed local" without trusting wall-clock.
+/// entries repaired, rebuild-avoided units, and the differential-index
+/// units deferred to their first reader) so scripts and CI can gate on
+/// "the repair stayed local" without trusting wall-clock.
 fn update_cmd(
     input: &str,
     delta_path: &str,
@@ -610,11 +611,7 @@ fn update_cmd(
             Some(old) => {
                 let (st, stats) =
                     repair_engine_state(old.view(), overlay.csr(), &applied.touched, st);
-                let _ = writeln!(
-                    out_text,
-                    "  radius {h}: dirty nodes {}  entries repaired {}  rebuild avoided {} units",
-                    stats.dirty_nodes, stats.entries_repaired, stats.rebuild_avoided_units
-                );
+                let _ = writeln!(out_text, "  radius {h}: {}", repair_line(&stats));
                 // A repaired state counts zero builds — the gate that
                 // proves no full rebuild hid inside the repair.
                 if st.index_builds() != 0 {
@@ -636,15 +633,21 @@ fn update_cmd(
         }
     }
     if applied.old.is_some() && hops.len() > 1 {
-        let _ = writeln!(
-            out_text,
-            "  total: dirty nodes {}  entries repaired {}  rebuild avoided {} units",
-            total.dirty_nodes, total.entries_repaired, total.rebuild_avoided_units
-        );
+        let _ = writeln!(out_text, "  total: {}", repair_line(&total));
     }
 
     if verify {
-        for (&h, st) in &repaired {
+        for (&h, st) in &mut repaired {
+            // Finish the deferred differential repair the way a query
+            // would; it stays an install, not a build.
+            let builds = st.index_builds();
+            st.prepare_diff_index(overlay.csr(), h);
+            if st.index_builds() != builds {
+                return Err(format!(
+                    "radius {h}: finishing the repair triggered {} full index builds",
+                    st.index_builds() - builds
+                ));
+            }
             let mut fresh = EngineState::new();
             fresh.prepare_size_index(overlay.csr(), h);
             fresh.prepare_diff_index(overlay.csr(), h);
@@ -682,9 +685,19 @@ fn update_cmd(
     Ok(out_text)
 }
 
+/// One `lona update` counter line.
+fn repair_line(stats: &RepairStats) -> String {
+    format!(
+        "dirty nodes {}  entries repaired {}  rebuild avoided {} units  deferred {} units",
+        stats.dirty_nodes,
+        stats.entries_repaired,
+        stats.rebuild_avoided_units,
+        stats.deferred_units
+    )
+}
+
 /// `lona compact`: fold an optional delta into a compiled container
-/// and re-emit it as a fresh file — the offline companion to the
-/// in-memory [`OverlayGraph::compact`].
+/// and re-emit it as a fresh file, with freshly built indexes.
 fn compact_cmd(
     input: &str,
     out: &str,
@@ -2074,6 +2087,9 @@ mod tests {
         assert!(out.contains("+1 -1 edges, 1 score overrides"), "{out}");
         assert!(out.contains("entries repaired"), "{out}");
         assert!(out.contains("rebuild avoided"), "{out}");
+        // Each radius line and the total line report the deferred
+        // differential-index units.
+        assert_eq!(out.matches("deferred").count(), 3, "{out}");
         assert!(out.contains("verify: repaired indexes match"), "{out}");
         // add 0-4 and del 2-3 cancel out in count but not in shape.
         let g2 = load_graph(&g_out).unwrap();
@@ -2081,6 +2097,28 @@ mod tests {
         assert_eq!(g2.num_edges(), 5);
         let scores2 = load_scores(&s_out, 5).unwrap();
         assert_eq!(scores2.as_slice()[1], 0.5);
+    }
+
+    #[test]
+    fn update_verifies_a_score_only_delta() {
+        let p = tmp("update_score_only.txt");
+        write_sample_graph(&p);
+        let d = tmp("update_score_only_delta.txt");
+        std::fs::write(&d, "score 1 0.5\n").unwrap();
+        let s = tmp("update_score_only_scores.txt");
+        std::fs::write(&s, "1.0\n0.0\n0.5\n0.0\n1.0\n").unwrap();
+        let cmd = parse(&[
+            "update".into(),
+            p,
+            d,
+            "--scores".into(),
+            s,
+            "--verify".into(),
+        ])
+        .unwrap();
+        let out = execute(&cmd).unwrap().report;
+        assert!(out.contains("score-only delta, indexes untouched"), "{out}");
+        assert!(out.contains("verify: repaired indexes match"), "{out}");
     }
 
     #[test]

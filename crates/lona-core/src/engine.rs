@@ -8,6 +8,7 @@ use lona_relevance::ScoreVec;
 use crate::aggregate::Aggregate;
 use crate::algo::{self, context::Ctx, Algorithm};
 use crate::batch::{self, BatchOptions, BatchQuery, BatchResult};
+use crate::delta::DeferredDiff;
 use crate::index::{DiffIndex, SizeIndex};
 use crate::plan::{plan_query, Plan, PlannerConfig};
 use crate::result::QueryResult;
@@ -106,6 +107,10 @@ impl TopKQuery {
 pub struct EngineState {
     size_index: Option<SizeIndex>,
     diff_index: Option<DiffIndex>,
+    /// A differential-index repair deferred across graph deltas
+    /// ([`crate::delta`]); while it is pending, `diff_index` is
+    /// `None`.
+    pending_diff: Option<DeferredDiff>,
     /// How many index *builds* this state has actually performed
     /// (cached reuse and [`EngineState::install_size_index`]-style
     /// installs do not count). Deterministic — unlike build wall time
@@ -133,8 +138,41 @@ impl EngineState {
         EngineState {
             size_index: size,
             diff_index: diff,
+            pending_diff: None,
             builds: 0,
         }
+    }
+
+    /// The state across a graph delta: `size` is the size index
+    /// already repaired onto the new graph, and the differential
+    /// index's repair is deferred — a new pending repair from
+    /// `old_offsets` (the previous graph's row offsets), or `dirty`
+    /// folded into the one already pending. Counts zero builds.
+    pub(crate) fn after_delta(
+        self,
+        size: SizeIndex,
+        old_offsets: &[u32],
+        dirty: Vec<bool>,
+    ) -> EngineState {
+        let pending_diff = match (self.diff_index, self.pending_diff) {
+            (Some(index), _) => Some(DeferredDiff::new(index, old_offsets, dirty)),
+            (None, Some(mut pending)) => {
+                pending.extend(&dirty);
+                Some(pending)
+            }
+            (None, None) => None,
+        };
+        EngineState {
+            size_index: Some(size),
+            diff_index: None,
+            pending_diff,
+            builds: 0,
+        }
+    }
+
+    /// Whether a differential-index repair is pending.
+    pub(crate) fn diff_repair_pending(&self) -> bool {
+        self.pending_diff.is_some()
     }
 
     /// Build (or reuse) the size index for `(g, hops)`; returns the
@@ -160,7 +198,10 @@ impl EngineState {
     }
 
     /// Build (or reuse) the differential index (building the size
-    /// index first if needed); returns the total build time.
+    /// index first if needed); returns the total build time. A repair
+    /// deferred across graph deltas is finished here, on `g`, the
+    /// current graph: that is an install, not a build, so it charges
+    /// zero time and no build.
     ///
     /// # Panics
     /// Panics if a cached index does not match `(g, hops)`.
@@ -172,6 +213,15 @@ impl EngineState {
                 g.num_adjacency_entries(),
                 "cached diff index entry count mismatch"
             );
+            return Duration::ZERO;
+        }
+        if let Some(pending) = self.pending_diff.take() {
+            let sizes = self
+                .size_index
+                .as_ref()
+                .expect("a deferred repair keeps its size index");
+            assert_eq!(sizes.hops(), hops, "cached size index hop radius mismatch");
+            self.diff_index = Some(pending.finish(g, sizes));
             return Duration::ZERO;
         }
         let mut took = self.prepare_size_index(g, hops);
@@ -203,7 +253,8 @@ impl EngineState {
         self.size_index.as_ref()
     }
 
-    /// The differential index, if prepared.
+    /// The differential index, if prepared; `None` while a repair of
+    /// it is pending (see [`EngineState::prepare_diff_index`]).
     pub fn diff_index(&self) -> Option<&DiffIndex> {
         self.diff_index.as_ref()
     }
@@ -411,7 +462,8 @@ impl<'g> LonaEngine<'g> {
         self.state.size_index = Some(idx);
     }
 
-    /// Install a previously serialized differential index.
+    /// Install a previously serialized differential index (clearing
+    /// a pending repair of the old one).
     ///
     /// # Panics
     /// Panics on hop-radius or entry-count mismatch.
@@ -423,6 +475,7 @@ impl<'g> LonaEngine<'g> {
             "diff index entry count mismatch"
         );
         self.state.diff_index = Some(idx);
+        self.state.pending_diff = None;
     }
 
     /// Run one query with the chosen algorithm on one worker.

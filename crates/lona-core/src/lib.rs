@@ -54,7 +54,8 @@
 //!   indexes packed into one mmap-able file for zero-build startup;
 //! * [`delta`] — incremental index maintenance: repair the ≤h-hop
 //!   dirty region of a [`SizeIndex`] / [`DiffIndex`] after an
-//!   [`lona_graph::OverlayGraph`] delta instead of rebuilding;
+//!   [`lona_graph::OverlayGraph`] delta instead of rebuilding (the
+//!   [`DiffIndex`] when a plan first reads it);
 //! * [`engine`] — index lifecycle + dispatch;
 //! * [`plan`] — the cost-based per-query planner (algorithm + worker
 //!   count, with an override escape hatch);

@@ -630,7 +630,10 @@ pub fn encode_stats_request(id: u64) -> Vec<u8> {
 
 /// What a server-side update did, echoed back in the UPDATE reply.
 /// All counters are deterministic (see `delta::RepairStats`), so
-/// clients and CI can gate on them exactly.
+/// clients and CI can gate on them exactly. They count the update
+/// barrier's own work: the size-index repair. A differential index's
+/// repair is deferred to the first LONA-Forward plan that reads it
+/// and is not counted here.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Edges actually inserted (no-op inserts excluded).
@@ -639,10 +642,10 @@ pub struct UpdateReport {
     pub deleted: u64,
     /// Nodes in the ≤h-hop dirty region, summed over repaired states.
     pub dirty_nodes: u64,
-    /// Index entries recomputed, summed over repaired states.
+    /// Size-index entries recomputed, summed over repaired states.
     pub entries_repaired: u64,
-    /// Index entries a full rebuild would have recomputed but the
-    /// repair copied, summed over repaired states.
+    /// Size-index entries a full rebuild would have recomputed but
+    /// the repair copied, summed over repaired states.
     pub rebuild_avoided_units: u64,
     /// Warm engine states whose indexes were repaired in place.
     pub states_repaired: u32,

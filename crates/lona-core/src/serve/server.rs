@@ -832,8 +832,8 @@ fn batch_loop<G: GraphStore>(
     opts: ServeOptions,
     metrics: Arc<ServeMetrics>,
 ) {
-    // All graph mutation goes through the overlay; `compact()` after
-    // each applied delta keeps the hot path scanning a plain CSR.
+    // All graph mutation goes through the overlay; each apply leaves
+    // one plain CSR behind, so the hot path scans plain adjacency.
     let mut overlay = OverlayGraph::new(graph);
     while let Some(batch) = queue.next_batch(opts.window, opts.max_batch) {
         let exec_start = Instant::now();
@@ -932,8 +932,9 @@ fn run_queries(
 
 /// Apply one admitted delta to the overlay, repair every warm engine
 /// state's indexes incrementally (the dirty-region walk in
-/// [`crate::delta`]), compact the overlay back into a plain CSR, and
-/// reply with the deterministic repair counters.
+/// [`crate::delta`]: the size index now, the differential index when
+/// a LONA-Forward plan first reads it), and reply with the barrier's
+/// deterministic repair counters.
 fn apply_update<B: GraphStore>(
     overlay: &mut OverlayGraph<B>,
     backend: &mut Backend,
@@ -977,9 +978,6 @@ fn apply_update<B: GraphStore>(
             states.insert(hops, state);
         }
     }
-    // Fold the log back into a contiguous CSR so subsequent query
-    // segments scan plain adjacency, not an overlay.
-    overlay.compact();
     ServeMetrics::bump(&metrics.updates_applied);
     let _ = job.reply.send(Ok(UpdateReport {
         inserted: applied.inserted,

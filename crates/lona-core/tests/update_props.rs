@@ -2,19 +2,21 @@
 //! under random delta sequences (inserts, deletes, score overrides,
 //! interleaved compactions), the overlay must stay structurally
 //! identical to a from-scratch rebuild, incrementally repaired indexes
-//! must equal freshly built ones, and every algorithm × aggregate must
+//! must equal freshly built ones — the differential index once its
+//! deferred repair is finished — and every algorithm × aggregate must
 //! answer on the repaired state exactly as a fresh engine does on the
 //! rebuilt graph (bit-identical for SUM/MAX, 1e-9 for AVG) — with the
 //! repaired state's build counter pinned at zero.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use lona_core::delta::{apply_score_overrides, repair_engine_state};
 use lona_core::{
-    compile_to_vec, Aggregate, Algorithm, BackwardOptions, CompileSpec, CompiledGraph, EngineState,
-    ForwardOptions, GammaSpec, LonaEngine, ProcessingOrder, TopKQuery,
+    compile_to_vec, Aggregate, Algorithm, BackwardOptions, CompileSpec, CompiledGraph, DiffIndex,
+    EngineState, ForwardOptions, GammaSpec, LonaEngine, ProcessingOrder, TopKQuery,
 };
 use lona_graph::{CsrGraph, GraphBuilder, GraphDelta, GraphStore, NodeOrder, OverlayGraph};
 use lona_relevance::ScoreVec;
@@ -171,12 +173,13 @@ proptest! {
                 let (repaired, stats) =
                     repair_engine_state(old.view(), overlay.csr(), &applied.touched, state);
                 state = repaired;
-                // Conservation: every index unit is either repaired or
-                // provably skipped, never both, never neither.
+                // Conservation: every index unit is repaired, provably
+                // skipped or deferred to its first reader — exactly one.
                 let full = (overlay.csr().num_nodes()
                     + overlay.csr().num_adjacency_entries()) as u64;
                 prop_assert_eq!(
-                    stats.entries_repaired + stats.rebuild_avoided_units, full,
+                    stats.entries_repaired + stats.rebuild_avoided_units + stats.deferred_units,
+                    full,
                     "unit accounting broke"
                 );
             }
@@ -194,6 +197,16 @@ proptest! {
             .collect();
         prop_assert_eq!(&merged, &edge_list(&rebuilt));
 
+        // The differential repair waits for its first reader, and
+        // finishing it is an install: no time charged, no build.
+        if edges_changed {
+            prop_assert!(state.diff_index().is_none(), "diff repair was not deferred");
+        }
+        prop_assert_eq!(
+            state.prepare_diff_index(overlay.csr(), case.h),
+            Duration::ZERO
+        );
+
         // Indexes: repaired state equals a from-scratch build, and if
         // any edge changed the repaired state charged zero builds.
         let mut fresh = EngineState::new();
@@ -201,6 +214,10 @@ proptest! {
         fresh.prepare_diff_index(rebuilt.view(), case.h);
         prop_assert_eq!(state.size_index(), fresh.size_index());
         prop_assert_eq!(state.diff_index(), fresh.diff_index());
+        prop_assert_eq!(
+            state.diff_index(),
+            Some(&DiffIndex::build(rebuilt.view(), case.h, fresh.size_index().unwrap()))
+        );
         if edges_changed {
             prop_assert_eq!(state.index_builds(), 0);
         }

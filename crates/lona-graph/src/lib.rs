@@ -21,9 +21,9 @@
 //!   [`CsrGraphMmap`].
 //! * [`mod@partition`] — edge-cut sharding with halo replication, the
 //!   storage layer of the scatter-gather engine.
-//! * [`OverlayGraph`] — sorted insert/tombstone logs plus a
-//!   score-override map layered over an immutable base, so a running
-//!   engine can apply [`GraphDelta`] batches without a rebuild.
+//! * [`OverlayGraph`] — an owned CSR spliced from an immutable base
+//!   plus a score-override map, so a running engine can apply
+//!   [`GraphDelta`] batches without a rebuild.
 //! * [`GraphStore`] / [`mapped`] — the storage abstraction: every
 //!   engine loop reads through a [`CsrView`] slice bundle, provided
 //!   either by the in-RAM [`CsrGraph`] or by [`CsrGraphMmap`] over a

@@ -2,22 +2,26 @@
 //!
 //! Every ROADMAP scenario assumes the graph mutates, yet [`CsrGraph`]
 //! and the compiled container are write-once. [`OverlayGraph`] closes
-//! that gap: it layers sorted insert / tombstone edge logs and a
-//! score-override map over an immutable base — the in-RAM
-//! [`CsrGraph`], a memory-mapped [`crate::CsrGraphMmap`], or anything
-//! else implementing [`GraphStore`] — and re-exposes the merged graph
-//! through the same [`GraphStore`] trait. The seven query algorithms,
+//! that gap: it wraps an immutable base — the in-RAM [`CsrGraph`], a
+//! memory-mapped [`crate::CsrGraphMmap`], or anything else
+//! implementing [`GraphStore`] — plus a score-override map, applies
+//! each [`GraphDelta`] to an owned CSR, and re-exposes the current
+//! graph through the same [`GraphStore`] trait. The query algorithms,
 //! the planner and the sharded engine all read through
 //! [`CsrView`](crate::CsrView) slices, so they run on an overlay
-//! unchanged and at full speed: after a batch of mutations the overlay
-//! materializes one merged CSR (an `O(E log E)` builder pass), and
-//! queries never pay a per-edge log lookup.
+//! unchanged and at full speed: queries never pay a per-edge lookup.
 //!
-//! That trade is deliberate. Re-merging the adjacency arrays is cheap
-//! next to rebuilding the h-hop indexes (the startup benchmark puts
-//! the index build at ~14× the parse+build cost); the expensive part
-//! of an update is index maintenance, which `lona-core`'s delta repair
-//! limits to the ≤h-hop dirty region around mutated endpoints.
+//! An apply **splices** the current CSR instead of rebuilding it. Only
+//! the endpoints of changed edges have changed rows, so the new arrays
+//! are the old ones with each run of untouched rows copied whole (one
+//! `extend_from_slice`, offsets shifted by the net growth so far) and
+//! each touched row merged with its few edits, weights alongside. The
+//! graph's edges are never re-sorted and no builder runs: besides that
+//! copy, the work is the delta's own. The previous CSR is moved out as [`AppliedDelta::old`]
+//! for index repair to walk the *old* h-hop neighborhoods; only the
+//! first apply over a borrowed or mapped base copies it. The expensive
+//! part of an update is index maintenance, which `lona-core`'s delta
+//! repair limits to the ≤h-hop dirty region around mutated endpoints.
 //!
 //! ## Semantics
 //!
@@ -27,18 +31,24 @@
 //! * Within one [`GraphDelta`], deletes apply before inserts, so a
 //!   delete+insert pair re-weights an edge.
 //! * Inserting an edge that is already live is a no-op (the existing
-//!   weight wins, matching [`GraphBuilder`]'s first-weight-wins rule);
+//!   weight wins, matching [`GraphBuilder`](crate::GraphBuilder)'s first-weight-wins rule,
+//!   which also picks between two inserts of one edge in a delta);
 //!   deleting an absent edge is a no-op.
+//! * The graph stays unweighted until an applied insert carries a
+//!   weight other than `1.0`; from then on it stores weights (`1.0`
+//!   for every earlier edge), so it is byte-identical to a
+//!   [`GraphBuilder`](crate::GraphBuilder) graph of the same edges built weighted exactly
+//!   then.
 //! * Self-loop mutations are rejected with [`GraphError::SelfLoop`]
-//!   (the paper's networks are simple graphs).
-//! * [`GraphDelta::apply`] via [`OverlayGraph::apply`] is atomic: a
-//!   rejected delta leaves the overlay untouched.
+//!   (the paper's networks are simple graphs); self-loops already in
+//!   the base are kept.
+//! * [`OverlayGraph::apply`] is atomic: a rejected delta leaves the
+//!   overlay untouched.
 //! * Score overrides follow `ScoreVec` semantics: NaN becomes 0 and
 //!   values clamp into `[0, 1]`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::builder::{GraphBuilder, SelfLoopPolicy};
 use crate::csr::{CsrGraph, CsrView};
 use crate::error::GraphError;
 use crate::node::NodeId;
@@ -186,10 +196,13 @@ fn bad_parse(line: usize, msg: String) -> GraphError {
 
 /// What [`OverlayGraph::apply`] actually changed.
 ///
-/// `old` carries an owned copy of the pre-delta graph whenever edges
-/// changed — exactly what index delta-repair needs to walk the *old*
-/// h-hop neighborhoods of the touched endpoints. Score-only deltas
-/// leave it `None` (indexes are score-independent, nothing to repair).
+/// `old` carries the pre-delta graph whenever edges changed — exactly
+/// what index delta-repair needs to walk the *old* h-hop
+/// neighborhoods of the touched endpoints. It is the overlay's
+/// previous CSR, moved out rather than copied (only the first apply
+/// over a borrowed or mapped base copies the base). Score-only deltas
+/// leave it `None` (indexes are score-independent, nothing to
+/// repair).
 #[derive(Debug)]
 pub struct AppliedDelta {
     /// The graph as it was before this delta, if any edge changed.
@@ -207,25 +220,16 @@ pub struct AppliedDelta {
 /// A mutable delta overlay over an immutable base graph.
 ///
 /// The semantics are spelled out in the module docs above. The
-/// overlay keeps the
-/// logical delta as sorted logs (`inserts` not in the base,
-/// `tombstones` of suppressed base edges) plus a materialized merged
-/// CSR; [`GraphStore::csr`] always returns the merged view, so query
-/// code is oblivious to the layering. [`OverlayGraph::compact`] folds
-/// the logs into a fresh CSR base in place.
+/// overlay serves the base itself until the first delta that changes
+/// an edge, and from then on an owned CSR that each apply splices;
+/// [`GraphStore::csr`] always returns the current graph, so query
+/// code is oblivious to the layering.
 pub struct OverlayGraph<B> {
     base: B,
-    /// Replaces `base` as the effective base after [`Self::compact`].
-    compacted: Option<CsrGraph>,
-    /// Live inserted edges not present in the effective base
-    /// (canonical `(min, max)` when undirected, sorted).
-    inserts: Vec<(u32, u32, f32)>,
-    /// Effective-base edges currently deleted (canonical, sorted).
-    tombstones: Vec<(u32, u32)>,
+    /// The current graph once an apply changed an edge.
+    current: Option<CsrGraph>,
     /// Per-node relevance-score overrides (clamped into `[0, 1]`).
     score_overrides: BTreeMap<u32, f64>,
-    /// Merged materialization; `Some` whenever the logs are non-empty.
-    merged: Option<CsrGraph>,
 }
 
 impl<B: GraphStore> OverlayGraph<B> {
@@ -235,17 +239,9 @@ impl<B: GraphStore> OverlayGraph<B> {
     pub fn new(base: B) -> Self {
         OverlayGraph {
             base,
-            compacted: None,
-            inserts: Vec::new(),
-            tombstones: Vec::new(),
+            current: None,
             score_overrides: BTreeMap::new(),
-            merged: None,
         }
-    }
-
-    /// The wrapped base store.
-    pub fn base(&self) -> &B {
-        &self.base
     }
 
     /// Number of nodes (fixed for the overlay's lifetime).
@@ -253,30 +249,17 @@ impl<B: GraphStore> OverlayGraph<B> {
         self.csr().num_nodes()
     }
 
-    /// Number of log entries pending compaction.
-    pub fn log_len(&self) -> usize {
-        self.inserts.len() + self.tombstones.len()
-    }
-
     /// Iterate the current score overrides.
     pub fn score_overrides(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
         self.score_overrides.iter().map(|(&u, &s)| (u, s))
     }
 
-    /// The effective base: the compacted CSR if [`Self::compact`] ran,
-    /// else the original base.
-    fn base_view(&self) -> CsrView<'_> {
-        match &self.compacted {
-            Some(g) => g.view(),
-            None => self.base.csr(),
-        }
-    }
-
     /// Apply a delta atomically: validate every operation first, then
-    /// update the logs, re-materialize the merged CSR, and report what
-    /// changed (with the pre-delta graph for index repair).
+    /// splice the effective edge changes into a new CSR, and report
+    /// what changed (with the pre-delta graph for index repair).
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<AppliedDelta> {
-        let n = self.csr().num_nodes() as u32;
+        let g = self.csr();
+        let n = g.num_nodes() as u32;
         let check = |u: u32, v: u32| -> Result<()> {
             for e in [u, v] {
                 if e >= n {
@@ -306,67 +289,43 @@ impl<B: GraphStore> OverlayGraph<B> {
             }
         }
 
-        // Borrow the effective base at field granularity so the logs
-        // stay mutable while the view is live.
-        let base = match &self.compacted {
-            Some(g) => g.view(),
-            None => self.base.csr(),
-        };
-        let directed = base.is_directed();
+        // The effective operations against the current graph (see
+        // module docs): deletes of live edges, then inserts of edges
+        // not live after them, the first weight winning.
+        let directed = g.is_directed();
         let canon = |u: u32, v: u32| if !directed && u > v { (v, u) } else { (u, v) };
-        let mut touched = Vec::new();
-        let mut deleted = 0u64;
-        let mut inserted = 0u64;
-
-        // Deletes first (see module docs): drop insert-log edges, or
-        // tombstone base edges; deleting an absent edge is a no-op.
+        let live = |e: (u32, u32)| g.has_edge(NodeId(e.0), NodeId(e.1));
+        let mut deleted = BTreeSet::new();
         for &(u, v) in &delta.deletes {
             let e = canon(u, v);
-            if let Ok(i) = self.inserts.binary_search_by_key(&e, |x| (x.0, x.1)) {
-                self.inserts.remove(i);
-            } else if base.has_edge(NodeId(e.0), NodeId(e.1))
-                && self.tombstones.binary_search(&e).is_err()
-            {
-                let at = self.tombstones.partition_point(|&t| t < e);
-                self.tombstones.insert(at, e);
-            } else {
-                continue;
+            if live(e) {
+                deleted.insert(e);
             }
-            deleted += 1;
-            touched.push(NodeId(e.0));
-            touched.push(NodeId(e.1));
         }
-
-        // Inserts: skip live edges; a tombstoned base edge re-inserts
-        // through the insert log (with the new weight) so the logs
-        // stay disjoint from the live base.
+        let mut inserted = BTreeMap::new();
         for &(u, v, w) in &delta.inserts {
             let e = canon(u, v);
-            let in_log = self.inserts.binary_search_by_key(&e, |x| (x.0, x.1));
-            let live_in_base = base.has_edge(NodeId(e.0), NodeId(e.1))
-                && self.tombstones.binary_search(&e).is_err();
-            if in_log.is_ok() || live_in_base {
-                continue;
+            if !live(e) || deleted.contains(&e) {
+                inserted.entry(e).or_insert(w);
             }
-            let at = in_log.unwrap_err();
-            self.inserts.insert(at, (e.0, e.1, w));
-            inserted += 1;
-            touched.push(NodeId(e.0));
-            touched.push(NodeId(e.1));
         }
 
-        let old = if deleted + inserted > 0 {
-            let old = match self.merged.take() {
-                Some(g) => g,
-                None => copy_view(base),
-            };
-            self.merged = Some(self.materialize()?);
-            touched.sort_unstable();
-            touched.dedup();
-            Some(old)
-        } else {
+        let old = if deleted.is_empty() && inserted.is_empty() {
             None
+        } else {
+            let next = splice(g, &deleted, &inserted)?;
+            Some(match self.current.replace(next) {
+                Some(old) => old,
+                None => copy_view(self.base.csr()),
+            })
         };
+        let mut touched: Vec<NodeId> = deleted
+            .iter()
+            .chain(inserted.keys())
+            .flat_map(|&(u, v)| [NodeId(u), NodeId(v)])
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
 
         let mut scores_overridden = 0u64;
         for &(u, s) in &delta.score_overrides {
@@ -379,82 +338,147 @@ impl<B: GraphStore> OverlayGraph<B> {
         Ok(AppliedDelta {
             old,
             touched,
-            inserted,
-            deleted,
+            inserted: inserted.len() as u64,
+            deleted: deleted.len() as u64,
             scores_overridden,
         })
     }
 
-    /// Rebuild the merged CSR from the effective base plus the logs.
-    fn materialize(&self) -> Result<CsrGraph> {
-        let base = self.base_view();
-        let n = base.num_nodes() as u32;
-        // Stay unweighted when the base is and every insert carries
-        // the default weight, so a merged graph is indistinguishable
-        // from one built directly from the same edge list.
-        let weighted = base.has_weights() || self.inserts.iter().any(|&(_, _, w)| w != 1.0);
-        let mut b = if base.is_directed() {
-            GraphBuilder::directed()
-        } else {
-            GraphBuilder::undirected()
-        }
-        .with_num_nodes(n)
-        // Keep: a base built with `SelfLoopPolicy::Keep` must survive
-        // the merge (the logs themselves never contain self-loops).
-        .self_loops(SelfLoopPolicy::Keep)
-        .reserve(base.num_edges() + self.inserts.len());
-        for (u, v, w) in base.edges() {
-            if self.tombstones.binary_search(&(u.0, v.0)).is_ok() {
-                continue;
-            }
-            if weighted {
-                b.push_weighted_edge(u.0, v.0, w);
-            } else {
-                b.push_edge(u.0, v.0);
-            }
-        }
-        for &(u, v, w) in &self.inserts {
-            if weighted {
-                b.push_weighted_edge(u, v, w);
-            } else {
-                b.push_edge(u, v);
-            }
-        }
-        b.build()
-    }
+    /// A no-op kept for source compatibility: every apply already
+    /// leaves one plain CSR behind, so there is nothing to fold.
+    pub fn compact(&mut self) {}
 
-    /// Fold the logs into a fresh CSR base, in place. After this the
-    /// overlay is clean (`log_len() == 0`) and [`GraphStore::csr`]
-    /// serves the compacted arrays directly; score overrides persist
-    /// (they are not part of the graph). Idempotent and cheap when
-    /// already clean.
-    pub fn compact(&mut self) {
-        if let Some(m) = self.merged.take() {
-            self.compacted = Some(m);
-            self.inserts.clear();
-            self.tombstones.clear();
-        }
-        debug_assert!(self.inserts.is_empty() && self.tombstones.is_empty());
-    }
-
-    /// Consume the overlay, returning the fully compacted owned graph
-    /// (for re-compilation or snapshotting).
-    pub fn into_graph(mut self) -> CsrGraph {
-        self.compact();
-        match (self.merged, self.compacted) {
-            (Some(g), _) | (None, Some(g)) => g,
-            (None, None) => copy_view(self.base.csr()),
+    /// Consume the overlay, returning the current graph as an owned
+    /// CSR (for re-compilation or writing out).
+    pub fn into_graph(self) -> CsrGraph {
+        match self.current {
+            Some(g) => g,
+            None => copy_view(self.base.csr()),
         }
     }
 }
 
 impl<B: GraphStore> GraphStore for OverlayGraph<B> {
     fn csr(&self) -> CsrView<'_> {
-        if let Some(m) = &self.merged {
-            return m.view();
+        match &self.current {
+            Some(g) => g.view(),
+            None => self.base.csr(),
         }
-        self.base_view()
     }
+}
+
+/// Splice effective edge changes into a copy of `g`: each run of
+/// untouched rows is copied whole with its offsets shifted, and each
+/// touched row is merged with its sorted edits. `deleted` holds live
+/// edges to remove and `inserted` edges to add with their weights; an
+/// edge in both keeps its slot and takes the new weight. Edges are
+/// canonical (`(min, max)` when undirected) and never self-loops.
+fn splice(
+    g: CsrView<'_>,
+    deleted: &BTreeSet<(u32, u32)>,
+    inserted: &BTreeMap<(u32, u32), f32>,
+) -> Result<CsrGraph> {
+    let directed = g.is_directed();
+    let per_edge = if directed { 1 } else { 2 };
+    let entries = g.num_adjacency_entries() + per_edge * inserted.len() - per_edge * deleted.len();
+    if entries > u32::MAX as usize {
+        return Err(GraphError::TooManyEdges(entries));
+    }
+    let weighted = g.has_weights() || inserted.values().any(|&w| w != 1.0);
+
+    // One edit per changed adjacency entry, sorted by (row, target):
+    // `None` removes the entry, `Some(w)` adds it or sets its weight.
+    let mut edits: Vec<(u32, NodeId, Option<f32>)> = Vec::new();
+    let mut edit = |(u, v): (u32, u32), w: Option<f32>| {
+        edits.push((u, NodeId(v), w));
+        if !directed {
+            edits.push((v, NodeId(u), w));
+        }
+    };
+    for &e in deleted.iter().filter(|e| !inserted.contains_key(e)) {
+        edit(e, None);
+    }
+    for (&e, &w) in inserted {
+        edit(e, Some(w));
+    }
+    edits.sort_unstable_by_key(|&(u, v, _)| (u, v));
+
+    let (offsets, targets) = (g.offsets(), g.targets());
+    let n = g.num_nodes();
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    new_offsets.push(0u32);
+    let mut new_targets = Vec::with_capacity(entries);
+    let mut new_weights = weighted.then(|| Vec::with_capacity(entries));
+    let mut pending = edits.as_slice();
+    let mut row = 0;
+    while row < n {
+        // Copy the untouched rows up to the next edited one whole.
+        let next = pending.first().map_or(n, |e| e.0 as usize);
+        if next > row {
+            let (lo, hi) = (offsets[row] as usize, offsets[next] as usize);
+            // Wrapping arithmetic: the shift may be negative, and every
+            // shifted offset fits in u32 (checked above).
+            let shift = (new_targets.len() as u32).wrapping_sub(lo as u32);
+            new_offsets.extend(
+                offsets[row + 1..=next]
+                    .iter()
+                    .map(|&o| o.wrapping_add(shift)),
+            );
+            copy_entries(g, lo..hi, &mut new_targets, &mut new_weights);
+            row = next;
+            continue;
+        }
+        // Merge the edited row: old entries up to each edit's target,
+        // then the edit itself.
+        let count = pending.iter().take_while(|e| e.0 as usize == row).count();
+        let (mine, rest) = pending.split_at(count);
+        pending = rest;
+        let (mut at, hi) = (offsets[row] as usize, offsets[row + 1] as usize);
+        for &(_, t, w) in mine {
+            let pos = at + targets[at..hi].partition_point(|&x| x < t);
+            copy_entries(g, at..pos, &mut new_targets, &mut new_weights);
+            at = pos;
+            if at < hi && targets[at] == t {
+                at += 1;
+            } else {
+                debug_assert!(w.is_some(), "deleting an absent entry");
+            }
+            if let Some(w) = w {
+                new_targets.push(t);
+                if let Some(ws) = &mut new_weights {
+                    ws.push(w);
+                }
+            }
+        }
+        copy_entries(g, at..hi, &mut new_targets, &mut new_weights);
+        new_offsets.push(new_targets.len() as u32);
+        row += 1;
+    }
+    debug_assert_eq!(new_targets.len(), entries);
+    Ok(CsrGraph::from_parts(
+        new_offsets,
+        new_targets,
+        new_weights,
+        g.num_edges() + inserted.len() - deleted.len(),
+        directed,
+    ))
+}
+
+/// Append `g`'s adjacency entries `range`, with their weights when
+/// `weights` is kept (`1.0` where `g` stores none).
+fn copy_entries(
+    g: CsrView<'_>,
+    range: std::ops::Range<usize>,
+    targets: &mut Vec<NodeId>,
+    weights: &mut Option<Vec<f32>>,
+) {
+    if let Some(w) = weights {
+        match g.weights() {
+            Some(old) => w.extend_from_slice(&old[range.clone()]),
+            None => w.resize(w.len() + range.len(), 1.0),
+        }
+    }
+    targets.extend_from_slice(&g.targets()[range]);
 }
 
 /// Owned deep copy of a view (the overlay needs the pre-delta graph to
@@ -472,6 +496,7 @@ fn copy_view(v: CsrView<'_>) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
 
     fn base() -> CsrGraph {
         // 0-1, 1-2, 2-0 triangle, plus 2-3 tail and isolated 4.
@@ -489,12 +514,17 @@ mod tests {
         v.edges().map(|(u, w, x)| (u.0, w.0, x.to_bits())).collect()
     }
 
+    /// Whether the overlay still serves the base's own arrays.
+    fn serves_base(o: &OverlayGraph<&CsrGraph>, g: &CsrGraph) -> bool {
+        std::ptr::eq(o.csr().targets(), g.view().targets())
+    }
+
     #[test]
     fn passthrough_before_first_mutation() {
         let g = base();
         let o = OverlayGraph::new(&g);
         assert_eq!(edge_set(o.csr()), edge_set(g.view()));
-        assert_eq!(o.log_len(), 0);
+        assert!(serves_base(&o, &g));
         assert_eq!(o.num_nodes(), 5);
     }
 
@@ -533,7 +563,7 @@ mod tests {
         assert_eq!(applied.inserted + applied.deleted, 0);
         assert!(applied.old.is_none());
         assert!(applied.touched.is_empty());
-        assert_eq!(o.log_len(), 0);
+        assert!(serves_base(&o, &g));
         assert_eq!(edge_set(o.csr()), edge_set(g.view()));
     }
 
@@ -546,8 +576,8 @@ mod tests {
         let applied = o.apply(&GraphDelta::new().delete(4, 0)).unwrap();
         assert_eq!(applied.deleted, 1);
         assert!(!o.csr().has_edge(NodeId(0), NodeId(4)));
-        assert_eq!(o.log_len(), 0);
         assert_eq!(edge_set(o.csr()), edge_set(g.view()));
+        assert_eq!(o.csr().offsets(), g.view().offsets());
     }
 
     #[test]
@@ -563,6 +593,35 @@ mod tests {
         assert_eq!((applied.deleted, applied.inserted), (1, 1));
         assert_eq!(o.csr().edge_weight(NodeId(0), NodeId(1)), Some(9.0));
         assert_eq!(o.csr().edge_weight(NodeId(1), NodeId(2)), Some(3.0));
+    }
+
+    #[test]
+    fn first_weighted_insert_makes_the_graph_weighted_for_good() {
+        let g = base();
+        let mut o = OverlayGraph::new(&g);
+        // Inserting at the default weight keeps the graph unweighted.
+        o.apply(&GraphDelta::new().insert(3, 4)).unwrap();
+        assert!(!o.csr().has_weights());
+        o.apply(&GraphDelta::new().insert_weighted(0, 4, 2.5))
+            .unwrap();
+        assert!(o.csr().has_weights());
+        assert_eq!(o.csr().edge_weight(NodeId(4), NodeId(0)), Some(2.5));
+        assert_eq!(o.csr().edge_weight(NodeId(1), NodeId(2)), Some(1.0));
+        // Deleting that edge again leaves the weights in place.
+        o.apply(&GraphDelta::new().delete(0, 4)).unwrap();
+        assert!(o.csr().has_weights());
+        let want = GraphBuilder::undirected()
+            .with_num_nodes(5)
+            .add_weighted_edge(0, 1, 1.0)
+            .add_weighted_edge(1, 2, 1.0)
+            .add_weighted_edge(2, 0, 1.0)
+            .add_weighted_edge(2, 3, 1.0)
+            .add_weighted_edge(3, 4, 1.0)
+            .build()
+            .unwrap();
+        assert_eq!(o.csr().offsets(), want.view().offsets());
+        assert_eq!(o.csr().targets(), want.view().targets());
+        assert_eq!(o.csr().weights(), want.view().weights());
     }
 
     #[test]
@@ -591,7 +650,7 @@ mod tests {
                 num_nodes: 5
             }
         ));
-        assert_eq!(o.log_len(), 0);
+        assert!(serves_base(&o, &g));
         assert_eq!(edge_set(o.csr()), edge_set(g.view()));
 
         let err = o.apply(&GraphDelta::new().delete(3, 3)).unwrap_err();
@@ -624,14 +683,20 @@ mod tests {
     fn compact_folds_logs_and_further_deltas_stack() {
         let g = base();
         let mut o = OverlayGraph::new(&g);
-        o.apply(&GraphDelta::new().insert(3, 4).delete(0, 1))
+        let first = o
+            .apply(&GraphDelta::new().insert(3, 4).delete(0, 1))
             .unwrap();
+        // The first apply over a borrowed base copies it.
+        assert_eq!(edge_set(first.old.unwrap().view()), edge_set(g.view()));
         let before = edge_set(o.csr());
+        let arrays = o.csr().targets().as_ptr();
         o.compact();
-        assert_eq!(o.log_len(), 0);
         assert_eq!(edge_set(o.csr()), before);
-        // Mutations after compaction layer over the compacted base.
-        o.apply(&GraphDelta::new().insert(0, 1)).unwrap();
+        assert_eq!(o.csr().targets().as_ptr(), arrays, "compact is a no-op");
+        // Later deltas stack, and each moves the previous CSR out as
+        // `old` instead of copying it.
+        let second = o.apply(&GraphDelta::new().insert(0, 1)).unwrap();
+        assert_eq!(second.old.unwrap().view().targets().as_ptr(), arrays);
         assert!(o.csr().has_edge(NodeId(0), NodeId(1)));
         assert!(o.csr().has_edge(NodeId(3), NodeId(4)));
         o.compact();

@@ -5,7 +5,9 @@
 //! batches on one connection — the first batch answering on the old
 //! graph, the second bit-identical to a fresh engine on the mutated
 //! graph — with a repair report whose `rebuild_avoided_units` is
-//! strictly positive.
+//! strictly positive. A LONA-Forward request after the update makes
+//! the server finish its deferred differential-index repair, still
+//! without an index build.
 //!
 //! Counters and bytes cannot flake on a noisy runner; repair wall
 //! clock is the benchmark's (`suite/`) update-mix workload.
@@ -14,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lona::core::serve::{binary_scores, Reply, ServeClient, ServeOptions, Server};
+use lona::core::serve::{binary_scores, serve_algorithm, Reply, ServeClient, ServeOptions, Server};
 use lona::prelude::*;
 
 use lona_cli::args::Command;
@@ -187,6 +189,11 @@ fn live_server_applies_update_between_batches() {
     let mut states = BTreeMap::new();
     states.insert(HOPS, warm);
 
+    // A dense relevance vector: a small-k query on it plans
+    // LONA-Forward, the one algorithm that reads the differential
+    // index.
+    let dense = ScoreVec::from_fn(n, |u| ((u.0 * 37) % 101) as f64 / 100.0 + 0.01);
+
     let graph = Arc::new(g.clone());
     let mut server = Server::builder(graph)
         .options(ServeOptions {
@@ -195,6 +202,7 @@ fn live_server_applies_update_between_batches() {
             ..Default::default()
         })
         .warm(states)
+        .register("dense", dense.clone())
         .bind("127.0.0.1:0")
         .expect("bind server");
     let addr = server.local_addr();
@@ -223,6 +231,40 @@ fn live_server_applies_update_between_batches() {
     // Batch 2 answers bit-identically to a fresh engine on the
     // mutated graph — warm state repaired, not rebuilt.
     assert_eq!(run_batch(&mut client, n, 8..16), reference(&g2, 8..16));
+
+    // The dense request plans LONA-Forward, so the server finishes the
+    // deferred differential repair first: the answer matches a fresh
+    // engine on the mutated graph bit for bit, and nothing was built.
+    let query = TopKQuery::new(3, Aggregate::Sum);
+    let mut fresh = LonaEngine::new(&g2, HOPS);
+    let forward = serve_algorithm(&fresh, &query, &dense);
+    assert!(
+        matches!(forward, Algorithm::LonaForward(_)),
+        "planned {forward}"
+    );
+    let want: Vec<(u32, u64)> = fresh
+        .run(&forward, &query, &dense)
+        .entries
+        .iter()
+        .map(|&(u, v)| (u.0, v.to_bits()))
+        .collect();
+    match client
+        .query_named("dense", 3, HOPS, Aggregate::Sum, true)
+        .unwrap()
+    {
+        Reply::Ok(resp) => {
+            let got: Vec<(u32, u64)> = resp
+                .entries
+                .iter()
+                .map(|&(u, v)| (u, v.to_bits()))
+                .collect();
+            assert_eq!(got, want);
+            assert_eq!(resp.stats.index_build_nanos, 0, "{:?}", resp.stats);
+        }
+        Reply::Err { message, .. } => panic!("dense request rejected: {message}"),
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.index_builds, 0, "{stats:?}");
 
     // Score overrides are rejected client-side before any frame.
     let bad = GraphDelta::new().override_score(0, 0.5);
